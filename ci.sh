@@ -35,17 +35,17 @@ echo "==> bench_oocore --smoke (out-of-core vs in-memory AUCPRC parity <= 0.005)
 cargo build --release -p spe-bench --bin bench_oocore
 oocore_dir="$(mktemp -d)"
 (cd "$oocore_dir" && "$repo_root/target/release/bench_oocore" --smoke)
+grep -q '"oocore"' "$oocore_dir/BENCH_train.json"
+grep -q '"rss_budget_ratio"' "$oocore_dir/BENCH_train.json"
 rm -rf "$oocore_dir"
-grep -q '"oocore"' BENCH_train.json
-grep -q '"rss_budget_ratio"' BENCH_train.json
 
 echo "==> bench_online --smoke (mid-stream drift -> promoted retrain -> AUCPRC recovery)"
 cargo build --release -p spe-bench --bin bench_online
 online_dir="$(mktemp -d)"
 (cd "$online_dir" && "$repo_root/target/release/bench_online" --smoke)
+grep -q '"online"' "$online_dir/BENCH_train.json"
+grep -q '"recovery_ms"' "$online_dir/BENCH_train.json"
 rm -rf "$online_dir"
-grep -q '"online"' BENCH_train.json
-grep -q '"recovery_ms"' BENCH_train.json
 
 echo "==> spe_score chunked round trip (CSV stream vs packed shards must fit identical models)"
 cargo build --release -p spe-serve --bin spe_score

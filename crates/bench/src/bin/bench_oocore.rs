@@ -16,7 +16,9 @@
 //! small stream is fit both out-of-core (with an artificially tiny
 //! budget, forcing many chunks and a real spill) and in memory on the
 //! materialized equivalent, and the held-out AUCPRC of the two models
-//! must agree within 0.005 — the sketch grid must not cost accuracy.
+//! must agree within 0.005 — the sketch grid must not cost accuracy. It
+//! writes its own `oocore` section (flagged `"smoke": true`) into the
+//! working directory's `BENCH_train.json`.
 
 use spe_bench::harness::{merge_bench_section, peak_rss_bytes};
 use spe_core::{chunk_rows_for_budget, ChunkedFitOptions, SelfPacedEnsembleConfig};
@@ -118,6 +120,8 @@ fn smoke() -> Result<(), Box<dyn std::error::Error>> {
         ..ChunkedFitOptions::default()
     };
     let (ooc_model, report) = spe_cfg.try_fit_chunked(&mut stream, &opts, FIT_SEED)?;
+    // Before the in-memory fit below materializes the data.
+    let peak_rss = peak_rss_bytes();
     assert!(
         report.chunks >= 4,
         "smoke budget must force a multi-chunk fit, got {} chunks",
@@ -137,6 +141,16 @@ fn smoke() -> Result<(), Box<dyn std::error::Error>> {
         "  out-of-core AUCPRC {ooc_auc:.4} vs in-memory {mem_auc:.4} (delta {delta:.4}, {} chunks, {} spill bytes)",
         report.chunks, report.spill_bytes
     );
+    // The smoke section lands in the working directory, so a gate can
+    // check what this run wrote rather than a committed artifact.
+    let section = format!(
+        "{{\n    \"smoke\": true,\n    \"rows\": {},\n    \"features\": {features},\n    \"chunk_budget_bytes\": {budget_bytes},\n    \"chunks\": {},\n    \"spill_bytes\": {},\n    \"peak_rss_bytes\": {peak_rss},\n    \"rss_budget_ratio\": {:.3},\n    \"aucprc\": {ooc_auc:.6},\n    \"in_memory_aucprc\": {mem_auc:.6}\n  }}",
+        report.rows,
+        report.chunks,
+        report.spill_bytes,
+        peak_rss as f64 / budget_bytes as f64
+    );
+    merge_bench_section(std::path::Path::new("BENCH_train.json"), "oocore", &section)?;
     if delta > 0.005 {
         eprintln!("FAIL: out-of-core AUCPRC drifted more than 0.005 from the in-memory fit");
         std::process::exit(1);

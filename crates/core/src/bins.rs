@@ -27,13 +27,24 @@ pub struct HardnessBins {
     hi: f64,
 }
 
-impl HardnessBins {
-    /// Bins `hardness` values into `k` equal-width bins over their
-    /// observed range.
+/// The `k` equal-width bins over a hardness slice's observed range —
+/// shared by [`HardnessBins::cut`] and the self-paced sampler, so both
+/// place every value in the same bin.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct HardnessGrid {
+    lo: f64,
+    hi: f64,
+    width: f64,
+    k: usize,
+}
+
+impl HardnessGrid {
+    /// The grid over `hardness`.
     ///
     /// # Panics
-    /// Panics if `k == 0` or `hardness` is empty.
-    pub fn cut(hardness: &[f64], k: usize) -> Self {
+    /// Panics if `k == 0`, `hardness` is empty or holds a non-finite
+    /// value.
+    pub(crate) fn over(hardness: &[f64], k: usize) -> Self {
         assert!(k > 0, "need at least one bin");
         assert!(!hardness.is_empty(), "cannot bin an empty set");
         let mut lo = f64::INFINITY;
@@ -43,20 +54,34 @@ impl HardnessBins {
             lo = lo.min(h);
             hi = hi.max(h);
         }
-        let width = (hi - lo).max(1e-12);
+        Self {
+            lo,
+            hi,
+            width: (hi - lo).max(1e-12),
+            k,
+        }
+    }
+
+    /// Bin of one value.
+    #[inline]
+    pub(crate) fn bin(&self, h: f64) -> usize {
+        ((((h - self.lo) / self.width) * self.k as f64) as usize).min(self.k - 1)
+    }
+
+    /// Per-bin statistics in one pass over `hardness`, handing each
+    /// value's bin to `visit` in index order.
+    pub(crate) fn stats(&self, hardness: &[f64], mut visit: impl FnMut(usize)) -> Vec<BinStats> {
         let mut stats = vec![
             BinStats {
                 population: 0,
                 mean_hardness: 0.0,
                 contribution: 0.0,
             };
-            k
+            self.k
         ];
-        let mut assignment = Vec::with_capacity(hardness.len());
         for &h in hardness {
-            let b = (((h - lo) / width) * k as f64) as usize;
-            let b = b.min(k - 1);
-            assignment.push(b);
+            let b = self.bin(h);
+            visit(b);
             stats[b].population += 1;
             stats[b].contribution += h;
         }
@@ -65,11 +90,25 @@ impl HardnessBins {
                 s.mean_hardness = s.contribution / s.population as f64;
             }
         }
+        stats
+    }
+}
+
+impl HardnessBins {
+    /// Bins `hardness` values into `k` equal-width bins over their
+    /// observed range.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or `hardness` is empty.
+    pub fn cut(hardness: &[f64], k: usize) -> Self {
+        let grid = HardnessGrid::over(hardness, k);
+        let mut assignment = Vec::with_capacity(hardness.len());
+        let stats = grid.stats(hardness, |b| assignment.push(b));
         Self {
             assignment,
             stats,
-            lo,
-            hi,
+            lo: grid.lo,
+            hi: grid.hi,
         }
     }
 

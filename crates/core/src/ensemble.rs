@@ -6,6 +6,7 @@ use crate::sampler::{AlphaSchedule, SelfPacedSampler};
 use spe_data::{
     BinIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng, SpeError,
 };
+use spe_learners::binspace::{BinScorer, CodeView};
 use spe_learners::ensemble::SoftVoteEnsemble;
 use spe_learners::persist::ModelSnapshot;
 use spe_learners::traits::{
@@ -13,6 +14,7 @@ use spe_learners::traits::{
 };
 use spe_learners::DecisionTreeConfig;
 use spe_runtime::{fork_seed, panic_message, Runtime, TrainingBudget};
+use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -122,7 +124,8 @@ impl SelfPacedEnsembleConfig {
     /// errors (invalid config, single-class data); the panic message is
     /// the error's `Display` output.
     pub fn fit_dataset(&self, data: &Dataset, seed: u64) -> SelfPacedEnsemble {
-        self.fit_dataset_traced(data, seed).0
+        self.try_fit_dataset(data, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Self::fit_dataset`] but panicking-free: returns
@@ -132,7 +135,7 @@ impl SelfPacedEnsembleConfig {
         data: &Dataset,
         seed: u64,
     ) -> Result<SelfPacedEnsemble, SpeError> {
-        Ok(self.try_fit_dataset_traced(data, seed)?.0)
+        Ok(self.try_fit_traced_inner(data, seed, None, false)?.0)
     }
 
     /// Warm-started refit: like [`Self::try_fit_dataset`], but the
@@ -177,7 +180,9 @@ impl SelfPacedEnsembleConfig {
                     .into(),
             ));
         }
-        Ok(self.try_fit_traced_inner(data, seed, Some(live_proba))?.0)
+        Ok(self
+            .try_fit_traced_inner(data, seed, Some(live_proba), false)?
+            .0)
     }
 
     /// Like [`Self::fit_dataset`], additionally returning the
@@ -201,19 +206,23 @@ impl SelfPacedEnsembleConfig {
         data: &Dataset,
         seed: u64,
     ) -> Result<(SelfPacedEnsemble, FitTrace), SpeError> {
-        self.try_fit_traced_inner(data, seed, None)
+        let (model, trace) = self.try_fit_traced_inner(data, seed, None, true)?;
+        Ok((model, trace.unwrap_or_default()))
     }
 
     /// Shared validated entry for cold and warm fits. `warm`, when
     /// present, holds the live model's probabilities per `data` row and
     /// drives the first member's self-paced selection; `None` is the
-    /// cold path, bit-identical to the original algorithm.
+    /// cold path, bit-identical to the original algorithm. The
+    /// [`FitTrace`] is recorded only when `record_trace` asks for it: it
+    /// holds every round's hardness vector.
     fn try_fit_traced_inner(
         &self,
         data: &Dataset,
         seed: u64,
         warm: Option<&[f64]>,
-    ) -> Result<(SelfPacedEnsemble, FitTrace), SpeError> {
+        record_trace: bool,
+    ) -> Result<(SelfPacedEnsemble, Option<FitTrace>), SpeError> {
         if self.n_estimators == 0 {
             return Err(SpeError::InvalidConfig(
                 "need at least one estimator".into(),
@@ -246,7 +255,7 @@ impl SelfPacedEnsembleConfig {
 
         self.runtime.install(|| {
             self.budget
-                .install(|| self.fit_validated(&clean, seed, sanitize_report, warm))
+                .install(|| self.fit_validated(&clean, seed, sanitize_report, warm, record_trace))
         })
     }
 
@@ -261,24 +270,29 @@ impl SelfPacedEnsembleConfig {
         seed: u64,
         sanitize_report: spe_data::SanitizeReport,
         warm: Option<&[f64]>,
-    ) -> Result<(SelfPacedEnsemble, FitTrace), SpeError> {
+        record_trace: bool,
+    ) -> Result<(SelfPacedEnsemble, Option<FitTrace>), SpeError> {
         let mut rng = SeededRng::new(seed);
 
         let idx = data.class_index();
         let n_pos = idx.minority.len();
         let n_neg = idx.majority.len();
 
-        // Materialize the class subsets once; every iteration only varies
-        // the majority selection.
-        let minority_x = data.x().select_rows(&idx.minority);
-        let majority_x = data.x().select_rows(&idx.majority);
-        let majority_y = vec![0u8; n_neg];
+        // Dense class subsets, materialized on first use only: the exact
+        // path trains and scores on them, while the histogram path needs
+        // the majority block just for members that do not bin-compile.
+        let minority_x = OnceCell::new();
+        let majority_x = OnceCell::new();
+        let minority = || minority_x.get_or_init(|| data.x().select_rows(&idx.minority));
+        let majority = || majority_x.get_or_init(|| data.x().select_rows(&idx.majority));
 
         // Warm start: hardness of the majority rows under the *live*
         // model, used in place of random under-sampling for member 0.
-        let warm_hardness = warm.map(|p| {
-            let live_proba: Vec<f64> = idx.majority.iter().map(|&r| p[r]).collect();
-            self.hardness.eval_batch(&live_proba, &majority_y)
+        let warm_hardness: Option<Vec<f64>> = warm.map(|p| {
+            idx.majority
+                .iter()
+                .map(|&r| self.hardness.eval(p[r], 0))
+                .collect()
         });
 
         let n = self.n_estimators;
@@ -303,15 +317,19 @@ impl SelfPacedEnsembleConfig {
         let mut models: Vec<Box<dyn Model>> = Vec::with_capacity(n);
         let mut alphas: Vec<f64> = Vec::with_capacity(n);
         let mut outcomes: Vec<MemberOutcome> = Vec::with_capacity(n);
-        let mut trace = FitTrace {
+        let mut trace = record_trace.then(|| FitTrace {
             majority_rows: idx.majority.clone(),
             selections: Vec::with_capacity(n),
             hardness: Vec::new(),
-        };
-        // Running average of majority probabilities avoids re-scoring all
+        });
+        // Running sum of majority probabilities avoids re-scoring all
         // previous members each iteration: after i members,
-        // F_i(x) = mean of member outputs.
+        // F_i(x) = sum / i.
         let mut proba_sum = vec![0.0_f64; n_neg];
+        // Reused across rounds: the hardness of every majority row, and
+        // on the histogram path one member score per bin-index row.
+        let mut hardness = vec![0.0_f64; n_neg];
+        let mut row_scores: Vec<f64> = Vec::new();
 
         for i in 0..n {
             // Budget check between members: once tripped, remaining
@@ -322,48 +340,32 @@ impl SelfPacedEnsembleConfig {
                 continue;
             }
 
-            // Select the majority subset N' for this member.
-            let (selected, alpha, hardness) = if models.is_empty() {
-                if let Some(h) = warm_hardness.as_ref().filter(|_| i == 0) {
-                    // Warm refit: the first member already samples
-                    // self-paced at α₀ from incumbent-model hardness;
-                    // schedules with no α at iteration 0 fall back to
-                    // the cold random draw.
-                    match self.alpha_schedule.alpha(0, n) {
-                        Some(alpha) => {
-                            let outcome = sampler.sample(h, alpha, n_pos, &mut rng);
-                            (outcome.selected, alpha, Some(h.clone()))
-                        }
-                        None => (
-                            rng.sample_indices(n_neg, n_pos.min(n_neg)),
-                            f64::NAN,
-                            Some(h.clone()),
-                        ),
-                    }
-                } else {
-                    // f0: random under-sampling (Algorithm 1, line 2).
-                    (rng.sample_indices(n_neg, n_pos.min(n_neg)), 0.0, None)
-                }
-            } else {
-                // Hardness w.r.t. the current ensemble F_i (lines 4–5).
+            // Hardness w.r.t. the current ensemble F_i (lines 4–5). A
+            // warm refit takes member 0's hardness from the incumbent
+            // model; a cold first member has none.
+            let round_hardness: Option<&[f64]> = if !models.is_empty() {
                 let inv = 1.0 / models.len() as f64;
-                let ensemble_proba: Vec<f64> = proba_sum.iter().map(|&s| s * inv).collect();
-                let hardness = self.hardness.eval_batch(&ensemble_proba, &majority_y);
-
-                // Self-paced under-sampling (lines 6–9), or the ablated
-                // variants of AlphaSchedule.
-                match self.alpha_schedule.alpha(i, n) {
-                    Some(alpha) => {
-                        let outcome = sampler.sample(&hardness, alpha, n_pos, &mut rng);
-                        (outcome.selected, alpha, Some(hardness))
-                    }
-                    None => (
-                        rng.sample_indices(n_neg, n_pos.min(n_neg)),
-                        f64::NAN,
-                        Some(hardness),
-                    ),
+                for (h, &s) in hardness.iter_mut().zip(&proba_sum) {
+                    *h = self.hardness.eval(s * inv, 0);
                 }
+                Some(&hardness)
+            } else if i == 0 {
+                warm_hardness.as_deref()
+            } else {
+                None
             };
+
+            // Select the majority subset N': self-paced under-sampling
+            // (lines 6–9), random under-sampling for a cold first member
+            // (line 2), or the ablated variants of AlphaSchedule.
+            let (selected, alpha) = match round_hardness {
+                None => (rng.sample_indices(n_neg, n_pos.min(n_neg)), 0.0),
+                Some(h) => match self.alpha_schedule.alpha(i, n) {
+                    Some(alpha) => (sampler.sample(h, alpha, n_pos, &mut rng).selected, alpha),
+                    None => (rng.sample_indices(n_neg, n_pos.min(n_neg)), f64::NAN),
+                },
+            };
+            let traced_hardness = trace.as_ref().and(round_hardness).map(<[f64]>::to_vec);
 
             // Train fi on P ∪ N' (line 10), isolated: a panicking or
             // NaN-emitting attempt is retried with a fresh seed up to
@@ -393,9 +395,15 @@ impl SelfPacedEnsembleConfig {
                             &selected,
                             attempt_rng,
                         ),
-                        _ => self.train_member(&minority_x, &majority_x, &selected, attempt_rng),
+                        _ => self.train_member(minority(), majority(), &selected, attempt_rng),
                     };
-                    let probs = model.predict_proba(&majority_x);
+                    let probs = score_majority(
+                        model.as_ref(),
+                        bins.as_ref(),
+                        &idx.majority,
+                        majority,
+                        &mut row_scores,
+                    );
                     (model, probs)
                 }));
                 match result {
@@ -424,9 +432,11 @@ impl SelfPacedEnsembleConfig {
                     }
                     models.push(model);
                     alphas.push(alpha);
-                    trace.selections.push(selected);
-                    if let Some(h) = hardness {
-                        trace.hardness.push(h);
+                    if let Some(t) = trace.as_mut() {
+                        t.selections.push(selected);
+                        if let Some(h) = traced_hardness {
+                            t.hardness.push(h);
+                        }
                     }
                     outcomes.push(if attempts == 1 {
                         MemberOutcome::Trained
@@ -506,6 +516,53 @@ impl SelfPacedEnsembleConfig {
         rows.extend(majority_sel.iter().map(|&s| majority_rows[s] as u32));
         learner.fit_on_bins(&problem, &rows, rng.below(u32::MAX as usize) as u64)
     }
+}
+
+/// A new member's positive-class probability for every majority row.
+/// On the histogram path the member is compiled against the fit's bin
+/// grid and scored straight from the index columns (`row_scores` holds
+/// one score per index row). A member that does not compile — no
+/// snapshot, or splits off the grid — is scored by `predict_proba` on
+/// the dense majority rows instead. Both give the same bits.
+fn score_majority<'a>(
+    model: &dyn Model,
+    bins: Option<&BinIndex>,
+    majority_rows: &[usize],
+    majority_x: impl FnOnce() -> &'a Matrix,
+    row_scores: &mut Vec<f64>,
+) -> Vec<f64> {
+    let compiled = bins.and_then(|b| {
+        let snapshot = model.snapshot()?;
+        Some((b, BinScorer::compile(&snapshot, b.cut_grids()).ok()?))
+    });
+    match compiled {
+        Some((b, scorer)) => {
+            row_scores.resize(b.n_rows(), 0.0);
+            score_codes(&scorer, CodeView::new(b.codes(), b.n_rows()), row_scores);
+            majority_rows.iter().map(|&r| row_scores[r]).collect()
+        }
+        None => model.predict_proba(majority_x()),
+    }
+}
+
+/// Fewest rows one parallel scoring task takes: a multiple of the
+/// kernels' 16-row lane groups, large enough to amortize the dispatch.
+const MIN_SCORE_ROWS: usize = 4096;
+
+/// Scores rows `0..out.len()` of `codes` into `out`, split into
+/// 16-row-aligned ranges across the runtime. Every row's score depends
+/// on that row alone, so the result is the same for every thread count.
+pub(crate) fn score_codes(scorer: &BinScorer, codes: CodeView<'_>, out: &mut [f64]) {
+    let per_task = out
+        .len()
+        .div_ceil(4 * spe_runtime::current_threads())
+        .next_multiple_of(16)
+        .max(MIN_SCORE_ROWS);
+    let mut parts: Vec<&mut [f64]> = out.chunks_mut(per_task).collect();
+    spe_runtime::par_for_each_mut(&mut parts, |i, part| {
+        let start = i * per_task;
+        scorer.score_into(codes, start..start + part.len(), part);
+    });
 }
 
 /// Per-iteration under-sampling record of one SPE training run.
@@ -1143,5 +1200,117 @@ mod tests {
         let a = sequential.fit_dataset(&d, 24).predict_proba(d.x());
         let b = parallel.fit_dataset(&d, 24).predict_proba(d.x());
         assert_eq!(a, b);
+    }
+
+    fn hist_base() -> SharedLearner {
+        Arc::new(DecisionTreeConfig {
+            split_method: spe_learners::SplitMethod::Histogram,
+            ..DecisionTreeConfig::default()
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|p| p.to_bits()).collect()
+    }
+
+    #[test]
+    fn histogram_runtime_cap_does_not_change_results() {
+        // Enough majority rows that the bin-space rescoring splits into
+        // several row ranges once more than one thread is allowed.
+        let d = overlapping(300, 24_000, 25);
+        let fit = |threads: usize| {
+            SelfPacedEnsembleConfig {
+                runtime: Runtime::with_threads(threads),
+                ..SelfPacedEnsembleConfig::with_base(6, hist_base())
+            }
+            .fit_dataset(&d, 26)
+        };
+        let sequential = fit(1);
+        let parallel = fit(spe_runtime::default_threads().max(4));
+        assert_eq!(
+            bits(&sequential.predict_proba(d.x())),
+            bits(&parallel.predict_proba(d.x()))
+        );
+        assert_eq!(bits(sequential.alphas()), bits(parallel.alphas()));
+    }
+
+    /// Histogram trees whose models hide their snapshot, so no member
+    /// can bin-compile and every round rescores through `predict_proba`.
+    struct Opaque(DecisionTreeConfig);
+
+    struct OpaqueModel(Box<dyn Model>);
+
+    impl Model for OpaqueModel {
+        fn predict_proba_view(&self, x: MatrixView<'_>) -> Vec<f64> {
+            self.0.predict_proba_view(x)
+        }
+    }
+
+    impl Learner for Opaque {
+        fn fit_weighted(
+            &self,
+            x: &Matrix,
+            y: &[u8],
+            weights: Option<&[f64]>,
+            seed: u64,
+        ) -> Box<dyn Model> {
+            Box::new(OpaqueModel(self.0.fit_weighted(x, y, weights, seed)))
+        }
+        fn name(&self) -> &'static str {
+            "Opaque"
+        }
+        fn as_binned(&self) -> Option<&dyn BinnedLearner> {
+            Some(self)
+        }
+    }
+
+    impl BinnedLearner for Opaque {
+        fn bin_request(&self) -> Option<spe_learners::BinRequest> {
+            BinnedLearner::bin_request(&self.0)
+        }
+        fn fit_on_bins(
+            &self,
+            problem: &BinnedProblem<'_>,
+            rows: &[u32],
+            seed: u64,
+        ) -> Box<dyn Model> {
+            Box::new(OpaqueModel(self.0.fit_on_bins(problem, rows, seed)))
+        }
+    }
+
+    #[test]
+    fn uncompilable_members_fall_back_to_f64_rescoring() {
+        let d = overlapping(60, 3_000, 27);
+        let tree = DecisionTreeConfig {
+            split_method: spe_learners::SplitMethod::Histogram,
+            ..DecisionTreeConfig::default()
+        };
+        let compiled =
+            SelfPacedEnsembleConfig::with_base(8, Arc::new(tree.clone())).fit_dataset(&d, 28);
+        let fallback =
+            SelfPacedEnsembleConfig::with_base(8, Arc::new(Opaque(tree))).fit_dataset(&d, 28);
+        assert!(compiled.snapshot().is_some() && fallback.snapshot().is_none());
+        assert_eq!(bits(compiled.alphas()), bits(fallback.alphas()));
+        assert_eq!(
+            bits(&compiled.predict_proba(d.x())),
+            bits(&fallback.predict_proba(d.x()))
+        );
+    }
+
+    #[test]
+    fn trace_is_recorded_only_when_asked_and_changes_nothing() {
+        let d = overlapping(30, 900, 29);
+        let cfg = SelfPacedEnsembleConfig::with_base(5, hist_base());
+        let plain = cfg.try_fit_dataset(&d, 30).unwrap();
+        let (traced, trace) = cfg.try_fit_dataset_traced(&d, 30).unwrap();
+        assert_eq!(
+            bits(&plain.predict_proba(d.x())),
+            bits(&traced.predict_proba(d.x()))
+        );
+        assert_eq!(trace.majority_rows.len(), d.n_negative());
+        assert_eq!(trace.selections.len(), 5);
+        // The random first member has no hardness.
+        assert_eq!(trace.hardness.len(), 4);
+        assert!(trace.hardness.iter().all(|h| h.len() == d.n_negative()));
     }
 }

@@ -16,9 +16,10 @@
 //! each member's training sub-index is stitched from the precomputed
 //! minority codes plus the selected majority codes gathered from the
 //! spill ([`BinIndex::from_parts`] + the `BinnedLearner` row-subset
-//! hook), and the freshly trained member is recompiled into bin space
-//! ([`CodeScorer`]) to score every majority row block by block into an
-//! `f64` running-sum sidecar — the hardness input of the next round.
+//! hook), and the freshly trained member is recompiled against the grid
+//! ([`BinScorer`], the compiler serving shares) to score every spill
+//! block in place into an `f64` running-sum sidecar — the hardness
+//! input of the next round.
 //!
 //! Memory accounting (per row of width `d`): the streaming working set
 //! is ≈ `17 d` bytes (chunk `f64`s, the majority copy, its codes), the
@@ -26,6 +27,7 @@
 //! hardness) plus the dense minority block. Chunk budgets should leave
 //! roughly half the budget for the sidecars; see `bench_oocore`.
 
+use crate::ensemble::score_codes;
 use crate::report::{FitReport, MemberOutcome};
 use crate::sampler::SelfPacedSampler;
 use crate::SelfPacedEnsemble;
@@ -35,7 +37,7 @@ use spe_data::{
     encode_batch_into, BinIndex, Chunk, ChunkedSource, Matrix, QuantileSketch, SanitizePolicy,
     SpeError, POSITIVE,
 };
-use spe_learners::binscore::CodeScorer;
+use spe_learners::binspace::{BinScorer, CodeView};
 use spe_learners::traits::{BinnedProblem, Model};
 use spe_runtime::{fork_seed, panic_message};
 use std::fs::{self, File};
@@ -396,10 +398,15 @@ impl SelfPacedEnsembleConfig {
 
             match trained {
                 Some(model) => {
-                    let scorer = CodeScorer::compile(model.as_ref(), &cuts)?;
+                    let snapshot = model.snapshot().ok_or_else(|| {
+                        SpeError::InvalidConfig(
+                            "model does not support snapshots, cannot bin-compile".into(),
+                        )
+                    })?;
+                    let scorer = BinScorer::compile(&snapshot, &cuts)?;
                     spill.for_each_block(|start, block_rows, codes| {
                         score_buf.resize(block_rows, 0.0);
-                        scorer.score_block(codes, block_rows, &mut score_buf);
+                        score_codes(&scorer, CodeView::new(codes, block_rows), &mut score_buf);
                         if !score_buf.iter().all(|p| p.is_finite()) {
                             return Err(SpeError::NonFiniteOutput {
                                 context: format!("member {i}"),

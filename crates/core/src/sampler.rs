@@ -7,7 +7,7 @@
 //! style), matching the authors' reference implementation and keeping
 //! the subset size at the target whenever enough majority samples exist.
 
-use crate::bins::HardnessBins;
+use crate::bins::HardnessGrid;
 use spe_data::SeededRng;
 
 /// Self-paced factor `α = tan(i·π / 2n)` for iteration `i` of `n`
@@ -171,10 +171,9 @@ impl SelfPacedSampler {
                 weights: vec![1.0],
             };
         }
-        let bins = HardnessBins::cut(hardness, self.k_bins);
-        let members = bins.members();
-        let weights: Vec<f64> = bins
-            .stats()
+        let grid = HardnessGrid::over(hardness, self.k_bins);
+        let stats = grid.stats(hardness, |_| {});
+        let weights: Vec<f64> = stats
             .iter()
             .map(|s| {
                 if s.population == 0 {
@@ -184,13 +183,35 @@ impl SelfPacedSampler {
                 }
             })
             .collect();
-        let per_bin = allocate_quota(&weights, &members, target);
+        let populations: Vec<usize> = stats.iter().map(|s| s.population).collect();
+        let per_bin = allocate_quota(&weights, &populations, target);
+
+        // Counting sort of the positions by bin into one flat buffer,
+        // ascending within each bin — the order `HardnessBins::members`
+        // lists them in.
+        let mut starts = Vec::with_capacity(populations.len() + 1);
+        starts.push(0);
+        for &p in &populations {
+            starts.push(starts[starts.len() - 1] + p);
+        }
+        let mut next = starts.clone();
+        let mut pool = vec![0usize; n];
+        for (i, &h) in hardness.iter().enumerate() {
+            let b = grid.bin(h);
+            pool[next[b]] = i;
+            next[b] += 1;
+        }
+        // Draw each bin's quota in place with the swap sequence
+        // `SeededRng::sample_from` runs over the bin's members: the same
+        // draws pick the same positions, with no per-bin buffers.
         let mut selected = Vec::with_capacity(target);
-        for (quota, member) in per_bin.iter().zip(&members) {
-            if *quota == 0 {
+        for (b, &quota) in per_bin.iter().enumerate() {
+            if quota == 0 {
                 continue;
             }
-            selected.extend(rng.sample_from(member, *quota));
+            let bin = &mut pool[starts[b]..starts[b + 1]];
+            rng.partial_shuffle(bin, quota);
+            selected.extend_from_slice(&bin[..quota]);
         }
         SampleOutcome {
             selected,
@@ -202,14 +223,14 @@ impl SelfPacedSampler {
 
 /// Splits `target` draws across bins proportionally to `weights`,
 /// clamping each bin to its population and redistributing the shortfall.
-fn allocate_quota(weights: &[f64], members: &[Vec<usize>], target: usize) -> Vec<usize> {
+fn allocate_quota(weights: &[f64], populations: &[usize], target: usize) -> Vec<usize> {
     let k = weights.len();
     let mut quota = vec![0usize; k];
     let mut remaining = target;
     // Iterate: proportional allocation over bins with spare capacity.
     // Terminates because each round either fills `remaining` or saturates
     // at least one bin.
-    let mut active: Vec<usize> = (0..k).filter(|&l| !members[l].is_empty()).collect();
+    let mut active: Vec<usize> = (0..k).filter(|&l| populations[l] > 0).collect();
     while remaining > 0 && !active.is_empty() {
         let w_total: f64 = active.iter().map(|&l| weights[l]).sum();
         if w_total <= 0.0 {
@@ -223,11 +244,11 @@ fn allocate_quota(weights: &[f64], members: &[Vec<usize>], target: usize) -> Vec
         let mut allocated = 0usize;
         let mut saturated = Vec::new();
         for &mut (l, share) in &mut shares {
-            let cap = members[l].len() - quota[l];
+            let cap = populations[l] - quota[l];
             let take = (share.floor() as usize).min(cap);
             quota[l] += take;
             allocated += take;
-            if quota[l] == members[l].len() {
+            if quota[l] == populations[l] {
                 saturated.push(l);
             }
         }
@@ -242,10 +263,10 @@ fn allocate_quota(weights: &[f64], members: &[Vec<usize>], target: usize) -> Vec
                 if allocated == remaining {
                     break;
                 }
-                if quota[l] < members[l].len() {
+                if quota[l] < populations[l] {
                     quota[l] += 1;
                     allocated += 1;
-                    if quota[l] == members[l].len() {
+                    if quota[l] == populations[l] {
                         saturated.push(l);
                     }
                 }
@@ -367,11 +388,63 @@ mod tests {
     #[test]
     fn quota_allocation_respects_capacity() {
         let weights = vec![1.0, 1.0, 1.0];
-        let members = vec![vec![0, 1], vec![2, 3, 4, 5, 6, 7], vec![8]];
-        let quota = allocate_quota(&weights, &members, 7);
+        let quota = allocate_quota(&weights, &[2, 6, 1], 7);
         assert!(quota[0] <= 2);
         assert!(quota[2] <= 1);
         assert_eq!(quota.iter().sum::<usize>(), 7);
+    }
+
+    /// The sampler as it was before the flat buffer: per-bin member
+    /// lists from [`HardnessBins`], one `sample_from` draw per bin.
+    fn per_bin_reference(
+        h: &[f64],
+        k: usize,
+        alpha: f64,
+        target: usize,
+        rng: &mut SeededRng,
+    ) -> Vec<usize> {
+        let bins = crate::bins::HardnessBins::cut(h, k);
+        let members = bins.members();
+        let weights: Vec<f64> = bins
+            .stats()
+            .iter()
+            .map(|s| {
+                if s.population == 0 {
+                    0.0
+                } else {
+                    1.0 / (s.mean_hardness + alpha).max(1e-12)
+                }
+            })
+            .collect();
+        let populations: Vec<usize> = members.iter().map(Vec::len).collect();
+        let quota = allocate_quota(&weights, &populations, target);
+        let mut selected = Vec::new();
+        for (q, member) in quota.iter().zip(&members) {
+            if *q > 0 {
+                selected.extend(rng.sample_from(member, *q));
+            }
+        }
+        selected
+    }
+
+    #[test]
+    fn draws_match_the_per_bin_reference() {
+        for seed in 0..20u64 {
+            let mut gen = SeededRng::new(seed);
+            let h: Vec<f64> = (0..300 + 37 * seed as usize)
+                .map(|_| gen.uniform().powi(3))
+                .collect();
+            for (k, alpha, target) in [(20, 0.0, 40), (7, 0.7, 133), (20, 25.0, 290)] {
+                let mut a = SeededRng::new(seed + 100);
+                let mut b = a.clone();
+                let got = SelfPacedSampler { k_bins: k }.sample(&h, alpha, target, &mut a);
+                assert_eq!(
+                    got.selected,
+                    per_bin_reference(&h, k, alpha, target, &mut b)
+                );
+                assert_eq!(a.below(1 << 30), b.below(1 << 30), "rng streams diverged");
+            }
+        }
     }
 
     #[test]

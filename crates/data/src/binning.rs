@@ -142,6 +142,18 @@ impl BinIndex {
         &self.cuts[f]
     }
 
+    /// Every feature's ascending cut grid, in feature order.
+    #[inline]
+    pub fn cut_grids(&self) -> &[Vec<f64>] {
+        &self.cuts
+    }
+
+    /// All codes, column-major: `codes()[f * n_rows + row]`.
+    #[inline]
+    pub fn codes(&self) -> &[u8] {
+        &self.codes
+    }
+
     /// The contiguous code column of feature `f` (one `u8` per row).
     #[inline]
     pub fn feature_codes(&self, f: usize) -> &[u8] {

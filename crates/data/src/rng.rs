@@ -94,12 +94,22 @@ impl SeededRng {
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         let k = k.min(n);
         let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.below(n - i);
-            idx.swap(i, j);
-        }
+        self.partial_shuffle(&mut idx, k);
         idx.truncate(k);
         idx
+    }
+
+    /// Moves a uniformly drawn `k`-subset of `xs` (clamped to its
+    /// length) to the front, in draw order: the first `k` steps of a
+    /// forward Fisher–Yates shuffle. On an identity slice this is exactly
+    /// [`Self::sample_indices`]; on any other slice it picks the elements
+    /// `sample_from` would, without the index buffer.
+    pub fn partial_shuffle<T>(&mut self, xs: &mut [T], k: usize) {
+        let n = xs.len();
+        for i in 0..k.min(n) {
+            let j = i + self.below(n - i);
+            xs.swap(i, j);
+        }
     }
 
     /// Samples `k` elements from `pool` without replacement (clamped to

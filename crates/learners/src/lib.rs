@@ -20,7 +20,7 @@
 
 pub mod adaboost;
 pub mod bagging;
-pub mod binscore;
+pub mod binspace;
 pub mod ensemble;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
@@ -43,7 +43,7 @@ mod tree_util;
 
 pub use adaboost::AdaBoostConfig;
 pub use bagging::BaggingConfig;
-pub use binscore::CodeScorer;
+pub use binspace::{BinForest, BinScorer, CodeView, CompileError};
 pub use ensemble::{fit_parallel, SoftVoteEnsemble};
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultPlan, FaultyLearner, NanModel};

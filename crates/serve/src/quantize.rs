@@ -9,6 +9,12 @@
 //! the traversal loop — one 64-byte cache line of codes serves 64 rows,
 //! where the f64 path pulled 8 bytes per row per split.
 //!
+//! The tree compiler and its kernels are the ones training uses
+//! ([`spe_learners::binspace`]); this module adds what is specific to
+//! serving: harvesting the grid, encoding request blocks, the GBDT and
+//! constant member frames, multi-class sub-kernels and the [`Model`]
+//! impl.
+//!
 //! # Exactness
 //!
 //! The kernel is **bit-exact**, not approximately equal, to the f64
@@ -38,6 +44,7 @@
 
 use crate::error::ServeError;
 use spe_data::{binning, MatrixView};
+use spe_learners::binspace::{BinForest, CodeView, CompileError};
 use spe_learners::{sigmoid, FeatureBound, GbdtModel, Model, ModelSnapshot, NodeView, TreeModel};
 use std::cell::Cell;
 
@@ -45,65 +52,6 @@ use std::cell::Cell;
 /// (`256 rows × d features` u8) stay L1/L2-resident while every tree
 /// walks them.
 const ROW_BLOCK: usize = 256;
-
-/// One flat node. Children are explicit arena indices; leaves point at
-/// themselves, so the traversal loop can run a fixed `depth` iterations
-/// per row with no branch — once a row reaches a leaf, further steps
-/// are no-ops.
-#[derive(Clone, Copy, Debug)]
-struct QNode {
-    left: u32,
-    right: u32,
-    /// Feature whose code is compared (0 for leaves; reading code
-    /// column 0 is always in bounds because a tree with any split
-    /// implies at least one feature).
-    feature: u32,
-    /// Threshold as an index into the feature's cut grid: code `<= bin`
-    /// goes left, exactly when `value <= cuts[feature][bin]`.
-    bin: u8,
-}
-
-/// One compiled tree: root offset into the shared arena plus its depth
-/// (the fixed traversal trip count), and which evaluation strategy the
-/// compiler picked for it.
-#[derive(Clone, Copy, Debug)]
-struct QTree {
-    root: u32,
-    depth: u32,
-    kind: TreeKind,
-}
-
-/// How a compiled tree is evaluated.
-#[derive(Clone, Copy, Debug)]
-enum TreeKind {
-    /// Level-synchronous bitmask evaluation (QuickScorer-style) for
-    /// trees with at most 64 leaves: apply every *failed* split's
-    /// leaf-mask, then the lowest surviving bit is the exit leaf. No
-    /// pointer chasing — each split node is one load + compare + masked
-    /// AND, fully pipelined across a row lane group.
-    Masked {
-        /// Range into [`QuantizedModel::masked`].
-        nodes: (u32, u32),
-        /// Start of this tree's leaf values in [`QuantizedModel::leaves`].
-        leaves: u32,
-    },
-    /// Fixed-depth pointer walk from `root` — fallback for trees whose
-    /// leaf count overflows a u64 mask.
-    Walk,
-}
-
-/// One split node in the bitmask form. `mask` clears the leaves of the
-/// node's left subtree and is applied exactly when the node's test
-/// fails (`code > bin`, i.e. `value > threshold` — the row goes right,
-/// so no left-subtree leaf can be its exit). NaN codes compare greater
-/// than every bin, failing every test on the row's path — the same
-/// "send right" routing the f64 tree applies.
-#[derive(Clone, Copy, Debug)]
-struct MaskNode {
-    mask: u64,
-    feature: u32,
-    bin: u8,
-}
 
 /// How a member turns its accumulated raw score into a probability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,16 +99,8 @@ pub struct QuantizedModel {
     /// Per-feature ascending cut grids; `cuts[f][b]` is the `b`-th
     /// distinct threshold the trees test feature `f` against.
     cuts: Vec<Vec<f64>>,
-    /// All trees' nodes, arena-concatenated.
-    nodes: Vec<QNode>,
-    /// Leaf payload per node (0.0 for split nodes).
-    values: Vec<f64>,
-    /// Bitmask-form split nodes of all `Masked` trees, concatenated
-    /// (grouped by feature within each tree for cache locality).
-    masked: Vec<MaskNode>,
-    /// Leaf values of all `Masked` trees, left-to-right per tree.
-    leaves: Vec<f64>,
-    trees: Vec<QTree>,
+    /// Every member's trees, compiled against `cuts`.
+    forest: BinForest,
     members: Vec<Member>,
     /// Whether the top level is a soft-vote ensemble (divide by member
     /// count) or a single model (score passes through unchanged).
@@ -200,11 +140,7 @@ impl QuantizedModel {
             return Ok(Self {
                 n_features,
                 cuts: Vec::new(),
-                nodes: Vec::new(),
-                values: Vec::new(),
-                masked: Vec::new(),
-                leaves: Vec::new(),
-                trees: Vec::new(),
+                forest: BinForest::new(),
                 members: Vec::new(),
                 ensemble: false,
                 direct: false,
@@ -216,50 +152,41 @@ impl QuantizedModel {
         let (specs, ensemble) = member_specs(snapshot)?;
         let cuts = harvest_cuts(&specs, n_features)?;
 
-        let (nodes, values, masked, leaves, trees, members) = {
-            let mut c = Compiler {
-                cuts: &cuts,
-                nodes: Vec::new(),
-                values: Vec::new(),
-                masked: Vec::new(),
-                leaves: Vec::new(),
-                trees: Vec::new(),
-            };
-            let mut members = Vec::with_capacity(specs.len());
-            for spec in &specs {
-                members.push(match *spec {
-                    MemberSpec::Constant(p) => Member {
-                        trees: c.trees.len()..c.trees.len(),
+        // The grid was harvested from these very trees, so every
+        // threshold has a bin.
+        let mut forest = BinForest::new();
+        let mut members = Vec::with_capacity(specs.len());
+        for spec in &specs {
+            let start = forest.n_trees();
+            members.push(match *spec {
+                MemberSpec::Constant(p) => Member {
+                    trees: start..start,
+                    scale: 1.0,
+                    bias: p,
+                    link: Link::Identity,
+                },
+                MemberSpec::Tree(t) => {
+                    forest.push_tree(&cuts, t.n_nodes(), |i| t.node(i))?;
+                    Member {
+                        trees: start..forest.n_trees(),
                         scale: 1.0,
-                        bias: p,
+                        bias: 0.0,
                         link: Link::Identity,
-                    },
-                    MemberSpec::Tree(t) => {
-                        let start = c.trees.len();
-                        c.push_tree(t.n_nodes(), |i| t.node(i));
-                        Member {
-                            trees: start..start + 1,
-                            scale: 1.0,
-                            bias: 0.0,
-                            link: Link::Identity,
-                        }
                     }
-                    MemberSpec::Gbdt(g) => {
-                        let start = c.trees.len();
-                        for t in g.trees() {
-                            c.push_tree(t.n_nodes(), |i| t.node(i));
-                        }
-                        Member {
-                            trees: start..start + g.trees().len(),
-                            scale: g.shrinkage(),
-                            bias: g.base_score(),
-                            link: Link::Sigmoid,
-                        }
+                }
+                MemberSpec::Gbdt(g) => {
+                    for t in g.trees() {
+                        forest.push_tree(&cuts, t.n_nodes(), |i| t.node(i))?;
                     }
-                });
-            }
-            (c.nodes, c.values, c.masked, c.leaves, c.trees, members)
-        };
+                    Member {
+                        trees: start..forest.n_trees(),
+                        scale: g.shrinkage(),
+                        bias: g.base_score(),
+                        link: Link::Sigmoid,
+                    }
+                }
+            });
+        }
         let direct = ensemble
             && members.iter().all(|m| {
                 m.trees.len() == 1
@@ -267,19 +194,12 @@ impl QuantizedModel {
                     && m.bias.to_bits() == 0
                     && m.link == Link::Identity
             });
-        let fused = direct
-            && trees
-                .iter()
-                .all(|t| matches!(t.kind, TreeKind::Masked { .. }));
+        let fused = direct && forest.all_masked();
 
         Ok(Self {
             n_features,
             cuts,
-            nodes,
-            values,
-            masked,
-            leaves,
-            trees,
+            forest,
             members,
             ensemble,
             direct,
@@ -298,7 +218,7 @@ impl QuantizedModel {
     /// sub-kernels for a multi-class model).
     pub fn n_trees(&self) -> usize {
         if self.per_class.is_empty() {
-            self.trees.len()
+            self.forest.n_trees()
         } else {
             self.per_class.iter().map(Self::n_trees).sum()
         }
@@ -330,30 +250,33 @@ impl QuantizedModel {
         scratch.codes.clear();
         scratch.codes.resize(rows * self.n_features, 0);
         binning::encode_batch_into(&self.cuts, x, &mut scratch.codes);
+        let codes = CodeView::new(&scratch.codes, rows);
 
         if !self.ensemble {
             // Single model: its score *is* the output, no mean.
-            self.eval_member(&self.members[0], &scratch.codes, rows, out);
+            self.eval_member(&self.members[0], codes, out);
             return;
         }
-        out.fill(0.0);
         if self.fused {
             // Every member is a bare single `Masked` tree: one fused
             // pass keeps each row group's running sum in registers
             // across all trees instead of re-reading `out` per tree.
-            self.eval_forest(&scratch.codes, rows, out);
+            self.forest.eval_forest(codes, 0..rows, out);
         } else if self.direct {
             // Every member is a bare tree (`0.0 + 1.0·leaf` is exactly
             // `leaf`), so accumulate the trees straight into `out` —
             // no per-member buffer fill / add pass.
+            out.fill(0.0);
             for m in &self.members {
-                self.accumulate_tree(self.trees[m.trees.start], &scratch.codes, rows, 1.0, out);
+                self.forest
+                    .accumulate_tree(m.trees.start, codes, 0..rows, 1.0, out);
             }
         } else {
+            out.fill(0.0);
             scratch.member.clear();
             scratch.member.resize(rows, 0.0);
             for m in &self.members {
-                self.eval_member(m, &scratch.codes, rows, &mut scratch.member);
+                self.eval_member(m, codes, &mut scratch.member);
                 for (o, &p) in out.iter_mut().zip(&scratch.member) {
                     *o += p;
                 }
@@ -368,92 +291,16 @@ impl QuantizedModel {
     /// Evaluates one member into `out` (`bias`, `+= scale·leaf` per tree
     /// in order, then the link) — the same op sequence the f64 model
     /// runs, so the result is bit-identical.
-    fn eval_member(&self, m: &Member, codes: &[u8], rows: usize, out: &mut [f64]) {
+    fn eval_member(&self, m: &Member, codes: CodeView<'_>, out: &mut [f64]) {
         out.fill(m.bias);
-        for t in &self.trees[m.trees.clone()] {
-            self.accumulate_tree(*t, codes, rows, m.scale, out);
+        for t in m.trees.clone() {
+            self.forest
+                .accumulate_tree(t, codes, 0..out.len(), m.scale, out);
         }
         if m.link == Link::Sigmoid {
             for o in out.iter_mut() {
                 *o = sigmoid(*o);
             }
-        }
-    }
-
-    /// Fused direct-ensemble kernel: for each 16-row group, runs every
-    /// tree's bitmask evaluation and accumulates the leaf sum in a
-    /// register block, storing into `out` once per group. The per-row
-    /// addition order (tree order, starting from `0.0`) is exactly the
-    /// order [`Self::accumulate_tree`] produces, so the result is
-    /// bit-identical. Requires `self.fused`.
-    fn eval_forest(&self, codes: &[u8], rows: usize, out: &mut [f64]) {
-        let mut r = 0;
-        while r + 16 <= rows {
-            let mut acc = [0.0f64; 16];
-            for t in &self.trees {
-                let TreeKind::Masked {
-                    nodes: (lo, hi),
-                    leaves,
-                } = t.kind
-                else {
-                    unreachable!("fused model holds only masked trees")
-                };
-                let masked = &self.masked[lo as usize..hi as usize];
-                let leaves = &self.leaves[leaves as usize..];
-                let mut m = [u64::MAX; 16];
-                for n in masked {
-                    let base = n.feature as usize * rows + r;
-                    let c: [u8; 16] = codes[base..base + 16].try_into().unwrap();
-                    for (lane, &code) in m.iter_mut().zip(&c) {
-                        *lane &= n.mask | u64::from(code <= n.bin).wrapping_neg();
-                    }
-                }
-                for (a, lane) in acc.iter_mut().zip(&m) {
-                    *a += 1.0 * leaves[lane.trailing_zeros() as usize];
-                }
-            }
-            out[r..r + 16].copy_from_slice(&acc);
-            r += 16;
-        }
-        while r < rows {
-            let mut a = 0.0;
-            for t in &self.trees {
-                let TreeKind::Masked {
-                    nodes: (lo, hi),
-                    leaves,
-                } = t.kind
-                else {
-                    unreachable!("fused model holds only masked trees")
-                };
-                let mut live = u64::MAX;
-                for n in &self.masked[lo as usize..hi as usize] {
-                    if codes[n.feature as usize * rows + r] > n.bin {
-                        live &= n.mask;
-                    }
-                }
-                a += 1.0 * self.leaves[leaves as usize + live.trailing_zeros() as usize];
-            }
-            out[r] = a;
-            r += 1;
-        }
-    }
-
-    /// Adds `scale · leaf(row)` of one tree to `out`, dispatching on the
-    /// tree's compiled evaluation strategy.
-    fn accumulate_tree(&self, t: QTree, codes: &[u8], rows: usize, scale: f64, out: &mut [f64]) {
-        match t.kind {
-            TreeKind::Masked {
-                nodes: (lo, hi),
-                leaves,
-            } => eval_masked(
-                &self.masked[lo as usize..hi as usize],
-                &self.leaves[leaves as usize..],
-                codes,
-                rows,
-                scale,
-                out,
-            ),
-            TreeKind::Walk => eval_tree(&self.nodes, &self.values, t, codes, rows, scale, out),
         }
     }
 }
@@ -565,103 +412,9 @@ impl Model for QuantizedModel {
     }
 }
 
-/// Bitmask evaluation of one tree over a block: every row starts with
-/// all leaves live (`u64::MAX`); each *failed* split test ANDs away its
-/// left subtree's leaves; the lowest surviving bit is the exit leaf.
-///
-/// The nodes are visited unconditionally — no pointer chasing, no
-/// data-dependent loads — and sixteen row lanes share each node's
-/// single load, so the loop is one compare + masked AND per (node,
-/// row), fully pipelined. Nodes are feature-grouped, so the sixteen
-/// `codes` reads per node hit one cache line and consecutive nodes
-/// often reuse it.
-fn eval_masked(
-    masked: &[MaskNode],
-    leaves: &[f64],
-    codes: &[u8],
-    rows: usize,
-    scale: f64,
-    acc: &mut [f64],
-) {
-    let mut r = 0;
-    while r + 16 <= rows {
-        let mut m = [u64::MAX; 16];
-        for n in masked {
-            let base = n.feature as usize * rows + r;
-            let c: [u8; 16] = codes[base..base + 16].try_into().unwrap();
-            for (lane, &code) in m.iter_mut().zip(&c) {
-                // Branchless select: all-ones when the test passes
-                // (keep every leaf), the node mask when it fails.
-                *lane &= n.mask | u64::from(code <= n.bin).wrapping_neg();
-            }
-        }
-        for (a, lane) in acc[r..r + 16].iter_mut().zip(&m) {
-            *a += scale * leaves[lane.trailing_zeros() as usize];
-        }
-        r += 16;
-    }
-    while r < rows {
-        let mut live = u64::MAX;
-        for n in masked {
-            if codes[n.feature as usize * rows + r] > n.bin {
-                live &= n.mask;
-            }
-        }
-        acc[r] += scale * leaves[live.trailing_zeros() as usize];
-        r += 1;
-    }
-}
-
-/// Walks `depth` levels for four rows at once (plus a scalar tail) and
-/// accumulates `scale * leaf` into `acc`. Leaves self-loop, so the trip
-/// count is fixed and the inner step compiles to a branch-free select.
-fn eval_tree(
-    nodes: &[QNode],
-    values: &[f64],
-    tree: QTree,
-    codes: &[u8],
-    rows: usize,
-    scale: f64,
-    acc: &mut [f64],
-) {
-    let root = tree.root as usize;
-    let depth = tree.depth as usize;
-    if depth == 0 {
-        let v = scale * values[root];
-        for a in acc.iter_mut() {
-            *a += v;
-        }
-        return;
-    }
-    #[inline(always)]
-    fn step(nodes: &[QNode], codes: &[u8], rows: usize, r: usize, i: usize) -> usize {
-        let n = nodes[i];
-        let c = codes[n.feature as usize * rows + r];
-        (if c <= n.bin { n.left } else { n.right }) as usize
-    }
-    let mut r = 0;
-    // Four independent traversal lanes hide the code-load latency.
-    while r + 4 <= rows {
-        let (mut i0, mut i1, mut i2, mut i3) = (root, root, root, root);
-        for _ in 0..depth {
-            i0 = step(nodes, codes, rows, r, i0);
-            i1 = step(nodes, codes, rows, r + 1, i1);
-            i2 = step(nodes, codes, rows, r + 2, i2);
-            i3 = step(nodes, codes, rows, r + 3, i3);
-        }
-        acc[r] += scale * values[i0];
-        acc[r + 1] += scale * values[i1];
-        acc[r + 2] += scale * values[i2];
-        acc[r + 3] += scale * values[i3];
-        r += 4;
-    }
-    while r < rows {
-        let mut i = root;
-        for _ in 0..depth {
-            i = step(nodes, codes, rows, r, i);
-        }
-        acc[r] += scale * values[i];
-        r += 1;
+impl From<CompileError> for ServeError {
+    fn from(e: CompileError) -> Self {
+        ServeError::Unquantizable(e.to_string())
     }
 }
 
@@ -769,140 +522,6 @@ fn harvest_cuts(specs: &[MemberSpec<'_>], n_features: usize) -> Result<Vec<Vec<f
     Ok(per_feature)
 }
 
-/// Accumulates flattened trees into the shared arena.
-struct Compiler<'a> {
-    cuts: &'a [Vec<f64>],
-    nodes: Vec<QNode>,
-    values: Vec<f64>,
-    masked: Vec<MaskNode>,
-    leaves: Vec<f64>,
-    trees: Vec<QTree>,
-}
-
-impl Compiler<'_> {
-    /// Cut-grid index of `threshold` on `feature` (harvested earlier,
-    /// so the lookup cannot miss).
-    fn bin_of(&self, feature: usize, threshold: f64) -> u8 {
-        let t = normalize_zero(threshold);
-        self.cuts[feature]
-            .binary_search_by(|c| c.total_cmp(&t))
-            .unwrap_or_else(|_| unreachable!("threshold harvested into the grid")) as u8
-    }
-
-    /// Flattens one source tree (exposed as `node(i)` views over a
-    /// parent-before-child arena) into the shared arena, keeping its
-    /// node order and remapping thresholds to cut-grid indices. Trees
-    /// with at most 64 leaves additionally get the bitmask form, which
-    /// the evaluator prefers.
-    fn push_tree(&mut self, n_nodes: usize, node: impl Fn(usize) -> NodeView) {
-        let base = self.nodes.len() as u32;
-        for i in 0..n_nodes {
-            match node(i) {
-                NodeView::Leaf { value } => {
-                    let me = base + i as u32;
-                    self.nodes.push(QNode {
-                        left: me,
-                        right: me,
-                        feature: 0,
-                        bin: 0,
-                    });
-                    self.values.push(value);
-                }
-                NodeView::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let bin = self.bin_of(feature, threshold);
-                    self.nodes.push(QNode {
-                        left: base + left as u32,
-                        right: base + right as u32,
-                        feature: feature as u32,
-                        bin,
-                    });
-                    self.values.push(0.0);
-                }
-            }
-        }
-        let depth = tree_depth(&node, 0);
-        let kind = self.build_masked(&node).unwrap_or(TreeKind::Walk);
-        self.trees.push(QTree {
-            root: base,
-            depth: depth as u32,
-            kind,
-        });
-    }
-
-    /// Builds the bitmask form of the tree rooted at source index 0, or
-    /// `None` when its leaf count overflows a u64 mask.
-    fn build_masked(&mut self, node: &impl Fn(usize) -> NodeView) -> Option<TreeKind> {
-        // In-order walk: number leaves left-to-right, record each split
-        // node with the leaf range of its left subtree.
-        fn walk(
-            c: &Compiler<'_>,
-            node: &impl Fn(usize) -> NodeView,
-            i: usize,
-            leaves: &mut Vec<f64>,
-            splits: &mut Vec<MaskNode>,
-        ) -> Option<(u32, u32)> {
-            match node(i) {
-                NodeView::Leaf { value } => {
-                    if leaves.len() == 64 {
-                        return None;
-                    }
-                    let s = leaves.len() as u32;
-                    leaves.push(value);
-                    Some((s, s + 1))
-                }
-                NodeView::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let (l0, l1) = walk(c, node, left, leaves, splits)?;
-                    let (_, r1) = walk(c, node, right, leaves, splits)?;
-                    // Left subtree holds < 64 leaves (the right one has
-                    // at least one), so the shift cannot overflow.
-                    let bits = ((1u64 << (l1 - l0)) - 1) << l0;
-                    splits.push(MaskNode {
-                        mask: !bits,
-                        feature: feature as u32,
-                        bin: c.bin_of(feature, threshold),
-                    });
-                    Some((l0, r1))
-                }
-            }
-        }
-        let mut leaves = Vec::new();
-        let mut splits = Vec::new();
-        walk(self, node, 0, &mut leaves, &mut splits)?;
-        // Feature-major order: consecutive nodes reuse the same code
-        // cache line. The masks are ANDs, so order does not affect the
-        // selected leaf.
-        splits.sort_unstable_by_key(|n| (n.feature, n.bin));
-        let lo = self.masked.len() as u32;
-        let leaf_start = self.leaves.len() as u32;
-        self.masked.extend_from_slice(&splits);
-        self.leaves.extend_from_slice(&leaves);
-        Some(TreeKind::Masked {
-            nodes: (lo, self.masked.len() as u32),
-            leaves: leaf_start,
-        })
-    }
-}
-
-/// Depth of the subtree at `i` (0 for a lone leaf).
-fn tree_depth(node: &impl Fn(usize) -> NodeView, i: usize) -> usize {
-    match node(i) {
-        NodeView::Leaf { .. } => 0,
-        NodeView::Split { left, right, .. } => {
-            1 + tree_depth(node, left).max(tree_depth(node, right))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,12 +540,11 @@ mod tests {
         let model = cfg.try_fit_dataset(&train, 42).unwrap();
         let q = QuantizedModel::compile(&model.snapshot().unwrap(), 30).unwrap();
         eprintln!(
-            "trees={} members={} max_cuts={} nodes={} depths={:?}",
+            "trees={} members={} max_cuts={} fused={}",
             q.n_trees(),
             q.n_members(),
             q.max_cuts(),
-            q.nodes.len(),
-            q.trees.iter().map(|t| t.depth).collect::<Vec<_>>()
+            q.fused
         );
         let per_feature: Vec<usize> = q.cuts.iter().map(Vec::len).collect();
         eprintln!("cuts per feature: {per_feature:?}");
@@ -944,37 +562,22 @@ mod tests {
         for _ in 0..10 {
             out.fill(0.0);
             for m in &q.members {
-                member.fill(m.bias);
-                for t in &q.trees[m.trees.clone()] {
-                    eval_tree(&q.nodes, &q.values, *t, &codes, rows, m.scale, &mut member);
-                }
+                q.eval_member(m, CodeView::new(&codes, rows), &mut member);
                 for (o, &p) in out.iter_mut().zip(&member) {
                     *o += p;
                 }
             }
         }
-        let trav = t0.elapsed().as_secs_f64() / 10.0;
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            out.fill(0.0);
-            for m in &q.members {
-                q.eval_member(m, &codes, rows, &mut member);
-                for (o, &p) in out.iter_mut().zip(&member) {
-                    *o += p;
-                }
-            }
-        }
-        let masked = t0.elapsed().as_secs_f64() / 10.0;
+        let per_member = t0.elapsed().as_secs_f64() / 10.0;
         let t0 = std::time::Instant::now();
         for _ in 0..10 {
             q.predict_proba_into(x, &mut out);
         }
         let full = t0.elapsed().as_secs_f64() / 10.0;
         eprintln!(
-            "encode {:.1}ns/row  walk {:.1}ns/row  masked {:.1}ns/row  full {:.1}ns/row",
+            "encode {:.1}ns/row  per-member {:.1}ns/row  full {:.1}ns/row",
             enc * 1e9 / rows as f64,
-            trav * 1e9 / rows as f64,
-            masked * 1e9 / rows as f64,
+            per_member * 1e9 / rows as f64,
             full * 1e9 / rows as f64
         );
     }
