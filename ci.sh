@@ -47,6 +47,13 @@ grep -q '"online"' "$online_dir/BENCH_train.json"
 grep -q '"recovery_ms"' "$online_dir/BENCH_train.json"
 rm -rf "$online_dir"
 
+echo "==> spe_benchmark --smoke (builds against this tree; repeated fits byte-identical, traced fits predict the same bits)"
+cargo build --release --offline --manifest-path spe_benchmark/Cargo.toml --bin spe_benchmark
+bench_dir="$(mktemp -d)"
+(cd "$bench_dir" && "$repo_root/spe_benchmark/target/release/spe_benchmark" --smoke --trace 1 \
+    --seconds 1 --workload fit-skewed --workload fit-multiclass --workload fit-oocore)
+rm -rf "$bench_dir"
+
 echo "==> spe_score chunked round trip (CSV stream vs packed shards must fit identical models)"
 cargo build --release -p spe-serve --bin spe_score
 ooc_dir="$(mktemp -d)"

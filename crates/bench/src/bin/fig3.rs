@@ -25,7 +25,9 @@ fn main() {
     // Hardness w.r.t. a trained SPE ensemble (the trace records the
     // hardness used at the last self-paced iteration).
     let cfg = SelfPacedEnsembleConfig::with_base(10, Arc::new(DecisionTreeConfig::with_depth(10)));
-    let (_, trace) = cfg.fit_dataset_traced(&split.train, 11);
+    let (_, trace) = cfg
+        .try_fit_dataset_traced(&split.train, 11)
+        .unwrap_or_else(|e| panic!("{e}"));
     let hardness = trace.hardness.last().expect("trace has iterations").clone();
     let n_pos = split.train.n_positive();
 

@@ -110,20 +110,7 @@ impl SelfPacedEnsembleBuilder {
     /// [`SpeError::InvalidConfig`] when `n_estimators` or `k_bins` is
     /// zero, or when `min_members` exceeds `n_estimators`.
     pub fn build(self) -> Result<SelfPacedEnsembleConfig, SpeError> {
-        if self.cfg.n_estimators == 0 {
-            return Err(SpeError::InvalidConfig(
-                "need at least one estimator".into(),
-            ));
-        }
-        if self.cfg.k_bins == 0 {
-            return Err(SpeError::InvalidConfig("need at least one bin".into()));
-        }
-        if self.cfg.min_members > self.cfg.n_estimators {
-            return Err(SpeError::InvalidConfig(format!(
-                "min_members ({}) exceeds n_estimators ({})",
-                self.cfg.min_members, self.cfg.n_estimators
-            )));
-        }
+        self.cfg.validate()?;
         Ok(self.cfg)
     }
 }

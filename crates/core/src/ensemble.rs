@@ -1,21 +1,22 @@
 //! `SelfPacedEnsemble` — Algorithm 1 of the paper.
 
 use crate::hardness::HardnessFn;
-use crate::report::{FitReport, MemberOutcome};
-use crate::sampler::{AlphaSchedule, SelfPacedSampler};
+use crate::report::FitReport;
+use crate::rounds::{fit_rounds, score_codes, RowStore};
+use crate::sampler::AlphaSchedule;
 use spe_data::{
-    BinIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng, SpeError,
+    BinIndex, BinaryIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng,
+    SpeError,
 };
 use spe_learners::binspace::{BinScorer, CodeView};
 use spe_learners::ensemble::SoftVoteEnsemble;
 use spe_learners::persist::ModelSnapshot;
 use spe_learners::traits::{
-    validate_fit_inputs, BinnedLearner, BinnedProblem, FeatureBound, Learner, Model, SharedLearner,
+    validate_fit_inputs, BinnedProblem, FeatureBound, Learner, Model, SharedLearner,
 };
 use spe_learners::DecisionTreeConfig;
-use spe_runtime::{fork_seed, panic_message, Runtime, TrainingBudget};
+use spe_runtime::{Runtime, TrainingBudget};
 use std::cell::OnceCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Configuration for a Self-paced Ensemble.
@@ -185,22 +186,10 @@ impl SelfPacedEnsembleConfig {
             .0)
     }
 
-    /// Like [`Self::fit_dataset`], additionally returning the
+    /// Like [`Self::try_fit_dataset`], additionally returning the
     /// per-iteration under-sampling trace (which majority rows each
     /// member trained on, and their hardness) — used by the Fig. 3 and
     /// Fig. 6 experiments.
-    ///
-    /// # Panics
-    /// Same conditions as [`Self::fit_dataset`].
-    pub fn fit_dataset_traced(&self, data: &Dataset, seed: u64) -> (SelfPacedEnsemble, FitTrace) {
-        self.try_fit_dataset_traced(data, seed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`Self::fit_dataset_traced`]: validates
-    /// configuration, sanitizes the input per [`Self::sanitize`], then
-    /// runs Algorithm 1 with this config's [`Runtime`] and
-    /// [`TrainingBudget`] installed and per-member fault isolation.
     pub fn try_fit_dataset_traced(
         &self,
         data: &Dataset,
@@ -210,19 +199,9 @@ impl SelfPacedEnsembleConfig {
         Ok((model, trace.unwrap_or_default()))
     }
 
-    /// Shared validated entry for cold and warm fits. `warm`, when
-    /// present, holds the live model's probabilities per `data` row and
-    /// drives the first member's self-paced selection; `None` is the
-    /// cold path, bit-identical to the original algorithm. The
-    /// [`FitTrace`] is recorded only when `record_trace` asks for it: it
-    /// holds every round's hardness vector.
-    fn try_fit_traced_inner(
-        &self,
-        data: &Dataset,
-        seed: u64,
-        warm: Option<&[f64]>,
-        record_trace: bool,
-    ) -> Result<(SelfPacedEnsemble, Option<FitTrace>), SpeError> {
+    /// The configuration checks every fit entry point and the builder
+    /// run before anything else.
+    pub(crate) fn validate(&self) -> Result<(), SpeError> {
         if self.n_estimators == 0 {
             return Err(SpeError::InvalidConfig(
                 "need at least one estimator".into(),
@@ -237,6 +216,24 @@ impl SelfPacedEnsembleConfig {
                 self.min_members, self.n_estimators
             )));
         }
+        Ok(())
+    }
+
+    /// Shared entry for cold and warm fits: validates, sanitizes, then
+    /// runs Algorithm 1 over the in-memory rows with this config's
+    /// [`Runtime`] and [`TrainingBudget`] installed. `warm`, when
+    /// present, holds the live model's probabilities per `data` row and
+    /// drives the first member's self-paced selection. The [`FitTrace`]
+    /// is recorded only when `record_trace` asks for it: it holds every
+    /// round's hardness vector.
+    fn try_fit_traced_inner(
+        &self,
+        data: &Dataset,
+        seed: u64,
+        warm: Option<&[f64]>,
+        record_trace: bool,
+    ) -> Result<(SelfPacedEnsemble, Option<FitTrace>), SpeError> {
+        self.validate()?;
         if data.is_empty() {
             return Err(SpeError::EmptyDataset);
         }
@@ -254,315 +251,144 @@ impl SelfPacedEnsembleConfig {
         );
 
         self.runtime.install(|| {
-            self.budget
-                .install(|| self.fit_validated(&clean, seed, sanitize_report, warm, record_trace))
+            self.budget.install(|| {
+                let mut store = InMemory::new(self.base.as_ref(), &clean);
+                let warm_hardness: Option<Vec<f64>> = warm.map(|p| {
+                    let majority = &store.idx.majority;
+                    majority
+                        .iter()
+                        .map(|&r| self.hardness.eval(p[r], 0))
+                        .collect()
+                });
+                let mut trace = record_trace.then(|| FitTrace {
+                    majority_rows: store.idx.majority.clone(),
+                    ..FitTrace::default()
+                });
+                let model = fit_rounds(
+                    self,
+                    &mut store,
+                    seed,
+                    warm_hardness.as_deref(),
+                    trace.as_mut(),
+                    sanitize_report,
+                )?;
+                Ok((model, trace))
+            })
         })
     }
+}
 
-    /// Algorithm 1 proper, with per-member fault isolation; input
-    /// preconditions already checked. On the healthy path (no panics, no
-    /// NaN members, no budget trips) this is bit-for-bit the original
-    /// sequential loop: the parent RNG advances identically and every
-    /// member trains from `rng.fork(i)`.
-    fn fit_validated(
-        &self,
-        data: &Dataset,
-        seed: u64,
-        sanitize_report: spe_data::SanitizeReport,
-        warm: Option<&[f64]>,
-        record_trace: bool,
-    ) -> Result<(SelfPacedEnsemble, Option<FitTrace>), SpeError> {
-        let mut rng = SeededRng::new(seed);
+/// The in-memory fit's rows: the cleaned dataset and its class index,
+/// plus the dense class blocks and the shared [`BinIndex`] when the
+/// base learner trains on bins.
+struct InMemory<'a> {
+    base: &'a dyn Learner,
+    data: &'a Dataset,
+    idx: BinaryIndex,
+    bins: Option<BinIndex>,
+    /// Dense class blocks, built on first use: the exact path trains
+    /// and scores on them, the histogram path needs the majority block
+    /// only for members that do not bin-compile.
+    minority_x: OnceCell<Matrix>,
+    majority_x: OnceCell<Matrix>,
+    /// One member score per bin-index row.
+    row_scores: Vec<f64>,
+}
 
+impl<'a> InMemory<'a> {
+    fn new(base: &'a dyn Learner, data: &'a Dataset) -> Self {
         let idx = data.class_index();
-        let n_pos = idx.minority.len();
-        let n_neg = idx.majority.len();
-
-        // Dense class subsets, materialized on first use only: the exact
-        // path trains and scores on them, while the histogram path needs
-        // the majority block just for members that do not bin-compile.
-        let minority_x = OnceCell::new();
-        let majority_x = OnceCell::new();
-        let minority = || minority_x.get_or_init(|| data.x().select_rows(&idx.minority));
-        let majority = || majority_x.get_or_init(|| data.x().select_rows(&idx.majority));
-
-        // Warm start: hardness of the majority rows under the *live*
-        // model, used in place of random under-sampling for member 0.
-        let warm_hardness: Option<Vec<f64>> = warm.map(|p| {
-            idx.majority
-                .iter()
-                .map(|&r| self.hardness.eval(p[r], 0))
-                .collect()
-        });
-
-        let n = self.n_estimators;
-        let sampler = SelfPacedSampler {
-            k_bins: self.k_bins,
-        };
-        // Histogram fast path: when the base learner can train on a
-        // shared bin index and the per-member training sets are large
-        // enough to amortize quantization, bin the full (cleaned)
-        // matrix once — every member then trains on row ids of this
-        // index instead of a freshly materialized P ∪ N' sub-matrix.
-        let bins = self.base.as_binned().and_then(|bl| {
+        let (n_pos, n_neg) = (idx.minority.len(), idx.majority.len());
+        // Histogram fast path: when the per-member training sets are
+        // large enough to amortize quantization, bin the full matrix
+        // once and let every member train on row ids of the index
+        // instead of a freshly materialized P ∪ N' sub-matrix.
+        let bins = base.as_binned().and_then(|bl| {
             let req = bl.bin_request()?;
             (n_pos + n_pos.min(n_neg) >= req.min_rows)
                 .then(|| BinIndex::build(data.x(), req.max_bins))
         });
-        // Retry seeds come from an independent chain off the fit seed, so
-        // a retry never perturbs the parent RNG stream (which stays
-        // aligned with the healthy path for all later members).
-        let retry_root = fork_seed(seed, 0xFA01);
-
-        let mut models: Vec<Box<dyn Model>> = Vec::with_capacity(n);
-        let mut alphas: Vec<f64> = Vec::with_capacity(n);
-        let mut outcomes: Vec<MemberOutcome> = Vec::with_capacity(n);
-        let mut trace = record_trace.then(|| FitTrace {
-            majority_rows: idx.majority.clone(),
-            selections: Vec::with_capacity(n),
-            hardness: Vec::new(),
-        });
-        // Running sum of majority probabilities avoids re-scoring all
-        // previous members each iteration: after i members,
-        // F_i(x) = sum / i.
-        let mut proba_sum = vec![0.0_f64; n_neg];
-        // Reused across rounds: the hardness of every majority row, and
-        // on the histogram path one member score per bin-index row.
-        let mut hardness = vec![0.0_f64; n_neg];
-        let mut row_scores: Vec<f64> = Vec::new();
-
-        for i in 0..n {
-            // Budget check between members: once tripped, remaining
-            // slots are skipped — except the very first member, which is
-            // always attempted so `min_members = 1` can still succeed.
-            if !models.is_empty() && spe_runtime::budget_exceeded() {
-                outcomes.push(MemberOutcome::Skipped);
-                continue;
-            }
-
-            // Hardness w.r.t. the current ensemble F_i (lines 4–5). A
-            // warm refit takes member 0's hardness from the incumbent
-            // model; a cold first member has none.
-            let round_hardness: Option<&[f64]> = if !models.is_empty() {
-                let inv = 1.0 / models.len() as f64;
-                for (h, &s) in hardness.iter_mut().zip(&proba_sum) {
-                    *h = self.hardness.eval(s * inv, 0);
-                }
-                Some(&hardness)
-            } else if i == 0 {
-                warm_hardness.as_deref()
-            } else {
-                None
-            };
-
-            // Select the majority subset N': self-paced under-sampling
-            // (lines 6–9), random under-sampling for a cold first member
-            // (line 2), or the ablated variants of AlphaSchedule.
-            let (selected, alpha) = match round_hardness {
-                None => (rng.sample_indices(n_neg, n_pos.min(n_neg)), 0.0),
-                Some(h) => match self.alpha_schedule.alpha(i, n) {
-                    Some(alpha) => (sampler.sample(h, alpha, n_pos, &mut rng).selected, alpha),
-                    None => (rng.sample_indices(n_neg, n_pos.min(n_neg)), f64::NAN),
-                },
-            };
-            let traced_hardness = trace.as_ref().and(round_hardness).map(<[f64]>::to_vec);
-
-            // Train fi on P ∪ N' (line 10), isolated: a panicking or
-            // NaN-emitting attempt is retried with a fresh seed up to
-            // `max_member_retries` times, then the slot is dropped.
-            let member_rng = rng.fork(i as u64);
-            let mut last_err = SpeError::Panicked {
-                context: format!("member {i}"),
-                message: "never attempted".into(),
-            };
-            let mut trained: Option<(Box<dyn Model>, Vec<f64>)> = None;
-            let mut attempts = 0usize;
-            for attempt in 0..=self.max_member_retries {
-                let attempt_rng = if attempt == 0 {
-                    member_rng.clone()
-                } else {
-                    SeededRng::new(fork_seed(fork_seed(retry_root, i as u64), attempt as u64))
-                };
-                attempts = attempt + 1;
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let model = match (&bins, self.base.as_binned()) {
-                        (Some(b), Some(bl)) => self.train_member_binned(
-                            bl,
-                            b,
-                            data.y(),
-                            &idx.minority,
-                            &idx.majority,
-                            &selected,
-                            attempt_rng,
-                        ),
-                        _ => self.train_member(minority(), majority(), &selected, attempt_rng),
-                    };
-                    let probs = score_majority(
-                        model.as_ref(),
-                        bins.as_ref(),
-                        &idx.majority,
-                        majority,
-                        &mut row_scores,
-                    );
-                    (model, probs)
-                }));
-                match result {
-                    Ok((model, probs)) => {
-                        if probs.iter().all(|p| p.is_finite()) {
-                            trained = Some((model, probs));
-                            break;
-                        }
-                        last_err = SpeError::NonFiniteOutput {
-                            context: format!("member {i}"),
-                        };
-                    }
-                    Err(payload) => {
-                        last_err = SpeError::Panicked {
-                            context: format!("member {i}"),
-                            message: panic_message(payload.as_ref()),
-                        };
-                    }
-                }
-            }
-
-            match trained {
-                Some((model, probs)) => {
-                    for (s, p) in proba_sum.iter_mut().zip(probs) {
-                        *s += p;
-                    }
-                    models.push(model);
-                    alphas.push(alpha);
-                    if let Some(t) = trace.as_mut() {
-                        t.selections.push(selected);
-                        if let Some(h) = traced_hardness {
-                            t.hardness.push(h);
-                        }
-                    }
-                    outcomes.push(if attempts == 1 {
-                        MemberOutcome::Trained
-                    } else {
-                        MemberOutcome::Retried { attempts }
-                    });
-                }
-                None => outcomes.push(MemberOutcome::Dropped { error: last_err }),
-            }
+        Self {
+            base,
+            data,
+            idx,
+            bins,
+            minority_x: OnceCell::new(),
+            majority_x: OnceCell::new(),
+            row_scores: Vec::new(),
         }
-
-        let required = self.min_members.max(1);
-        if models.len() < required {
-            return Err(SpeError::TrainingFailed {
-                trained: models.len(),
-                required,
-            });
-        }
-
-        let report = FitReport {
-            members: outcomes,
-            sanitize: sanitize_report,
-            budget_exhausted: spe_runtime::budget_exceeded(),
-        };
-        Ok((
-            SelfPacedEnsemble {
-                inner: SoftVoteEnsemble::try_new(models)?,
-                alphas,
-                report,
-            },
-            trace,
-        ))
     }
 
-    fn train_member(
-        &self,
-        minority_x: &Matrix,
-        majority_x: &Matrix,
-        majority_sel: &[usize],
-        mut rng: SeededRng,
-    ) -> Box<dyn Model> {
-        let selected = majority_x.select_rows(majority_sel);
-        let x = minority_x.vstack(&selected);
-        let mut y = vec![1u8; minority_x.rows()];
-        y.extend(std::iter::repeat_n(0u8, selected.rows()));
+    fn majority(&self) -> &Matrix {
+        self.majority_x
+            .get_or_init(|| self.data.x().select_rows(&self.idx.majority))
+    }
+}
+
+impl RowStore for InMemory<'_> {
+    fn class_counts(&self) -> (usize, usize) {
+        (self.idx.minority.len(), self.idx.majority.len())
+    }
+
+    fn fit(&mut self, selected: &[usize], mut rng: SeededRng) -> Result<Box<dyn Model>, SpeError> {
+        if let (Some(bins), Some(learner)) = (&self.bins, self.base.as_binned()) {
+            // Row ids of the shared index; row order does not influence
+            // histogram training, so no shuffle is needed.
+            let majority = selected.iter().map(|&s| &self.idx.majority[s]);
+            let rows: Vec<u32> = self
+                .idx
+                .minority
+                .iter()
+                .chain(majority)
+                .map(|&r| r as u32)
+                .collect();
+            let problem = BinnedProblem {
+                bins,
+                y: self.data.y(),
+                weights: None,
+            };
+            return Ok(learner.fit_on_bins(&problem, &rows, rng.below(u32::MAX as usize) as u64));
+        }
+        let minority = self
+            .minority_x
+            .get_or_init(|| self.data.x().select_rows(&self.idx.minority));
+        let x = minority.vstack(&self.majority().select_rows(selected));
+        let mut y = vec![1u8; minority.rows()];
+        y.resize(x.rows(), 0);
         // Shuffle so batch-training base learners see mixed classes.
         let mut order: Vec<usize> = (0..y.len()).collect();
         rng.shuffle(&mut order);
         let xs = x.select_rows(&order);
         let ys: Vec<u8> = order.iter().map(|&i| y[i]).collect();
-        self.base.fit(&xs, &ys, rng.below(u32::MAX as usize) as u64)
+        Ok(self.base.fit(&xs, &ys, rng.below(u32::MAX as usize) as u64))
     }
 
-    /// Binned counterpart of [`Self::train_member`]: instead of copying
-    /// P ∪ N' into a new matrix, the member trains on the row ids of the
-    /// shared bin index (all minority rows plus the selected majority
-    /// rows). Row order does not influence histogram training, so no
-    /// shuffle is needed.
-    #[allow(clippy::too_many_arguments)]
-    fn train_member_binned(
-        &self,
-        learner: &dyn BinnedLearner,
-        bins: &BinIndex,
-        y: &[u8],
-        minority_rows: &[usize],
-        majority_rows: &[usize],
-        majority_sel: &[usize],
-        mut rng: SeededRng,
-    ) -> Box<dyn Model> {
-        let problem = BinnedProblem {
-            bins,
-            y,
-            weights: None,
-        };
-        let mut rows: Vec<u32> = Vec::with_capacity(minority_rows.len() + majority_sel.len());
-        rows.extend(minority_rows.iter().map(|&r| r as u32));
-        rows.extend(majority_sel.iter().map(|&s| majority_rows[s] as u32));
-        learner.fit_on_bins(&problem, &rows, rng.below(u32::MAX as usize) as u64)
-    }
-}
-
-/// A new member's positive-class probability for every majority row.
-/// On the histogram path the member is compiled against the fit's bin
-/// grid and scored straight from the index columns (`row_scores` holds
-/// one score per index row). A member that does not compile — no
-/// snapshot, or splits off the grid — is scored by `predict_proba` on
-/// the dense majority rows instead. Both give the same bits.
-fn score_majority<'a>(
-    model: &dyn Model,
-    bins: Option<&BinIndex>,
-    majority_rows: &[usize],
-    majority_x: impl FnOnce() -> &'a Matrix,
-    row_scores: &mut Vec<f64>,
-) -> Vec<f64> {
-    let compiled = bins.and_then(|b| {
-        let snapshot = model.snapshot()?;
-        Some((b, BinScorer::compile(&snapshot, b.cut_grids()).ok()?))
-    });
-    match compiled {
-        Some((b, scorer)) => {
-            row_scores.resize(b.n_rows(), 0.0);
-            score_codes(&scorer, CodeView::new(b.codes(), b.n_rows()), row_scores);
-            majority_rows.iter().map(|&r| row_scores[r]).collect()
+    /// On the histogram path the member is compiled against the index's
+    /// cut grid and scored straight from its columns. A member that does
+    /// not compile — no snapshot, or splits off the grid — is scored by
+    /// `predict_proba` on the dense majority rows. Both give the same
+    /// bits.
+    fn score(&mut self, model: &dyn Model, out: &mut [f64]) -> Result<(), SpeError> {
+        let compiled = self.bins.as_ref().and_then(|b| {
+            let scorer = BinScorer::compile(&model.snapshot()?, b.cut_grids()).ok()?;
+            Some((b, scorer))
+        });
+        match compiled {
+            Some((b, scorer)) => {
+                self.row_scores.resize(b.n_rows(), 0.0);
+                score_codes(
+                    &scorer,
+                    CodeView::new(b.codes(), b.n_rows()),
+                    &mut self.row_scores,
+                );
+                for (o, &r) in out.iter_mut().zip(&self.idx.majority) {
+                    *o = self.row_scores[r];
+                }
+            }
+            None => model.predict_proba_into(self.majority().view(), out),
         }
-        None => model.predict_proba(majority_x()),
+        Ok(())
     }
-}
-
-/// Fewest rows one parallel scoring task takes: a multiple of the
-/// kernels' 16-row lane groups, large enough to amortize the dispatch.
-const MIN_SCORE_ROWS: usize = 4096;
-
-/// Scores rows `0..out.len()` of `codes` into `out`, split into
-/// 16-row-aligned ranges across the runtime. Every row's score depends
-/// on that row alone, so the result is the same for every thread count.
-pub(crate) fn score_codes(scorer: &BinScorer, codes: CodeView<'_>, out: &mut [f64]) {
-    let per_task = out
-        .len()
-        .div_ceil(4 * spe_runtime::current_threads())
-        .next_multiple_of(16)
-        .max(MIN_SCORE_ROWS);
-    let mut parts: Vec<&mut [f64]> = out.chunks_mut(per_task).collect();
-    spe_runtime::par_for_each_mut(&mut parts, |i, part| {
-        let start = i * per_task;
-        scorer.score_into(codes, start..start + part.len(), part);
-    });
 }
 
 /// Per-iteration under-sampling record of one SPE training run.
@@ -587,9 +413,7 @@ pub struct SelfPacedEnsemble {
 }
 
 impl SelfPacedEnsemble {
-    /// Assembles an ensemble from already-trained members — the
-    /// out-of-core fit ([`crate::oocore`]) runs its own training loop
-    /// outside `fit_validated`.
+    /// Assembles an ensemble from the members the round loop trained.
     pub(crate) fn from_members(
         models: Vec<Box<dyn Model>>,
         alphas: Vec<f64>,
@@ -731,7 +555,9 @@ impl Learner for SelfPacedEnsembleConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::MemberOutcome;
     use spe_data::{NEGATIVE, POSITIVE};
+    use spe_learners::traits::BinnedLearner;
     use spe_metrics::aucprc;
 
     /// Imbalanced overlapping Gaussians: minority at +1.2, majority at 0.

@@ -27,6 +27,8 @@
 //! snapshots persist as ordinary binary `SelfPaced` envelopes.
 
 use crate::ensemble::{SelfPacedEnsemble, SelfPacedEnsembleConfig};
+use crate::report::{FitReport, MemberOutcome};
+use crate::rounds::{ensure_finite, finish_report, member_slot};
 use crate::sampler::{BalancingSchedule, SelfPacedSampler};
 use spe_data::{Dataset, MatrixView, Sanitizer, SeededRng, SpeError};
 use spe_learners::ensemble::SoftVoteEnsemble;
@@ -105,22 +107,20 @@ impl MultiClassSpeConfig {
     /// [`SelfPacedEnsembleConfig::try_fit_dataset`] at the same seed.
     pub fn try_fit_dataset(&self, data: &Dataset, seed: u64) -> Result<MultiClassSpe, SpeError> {
         let k = data.n_classes();
-        if k == 2 {
-            let spe = self.binary.try_fit_dataset(data, seed)?;
-            return Ok(MultiClassSpe {
-                inner: Box::new(spe),
-                n_classes: 2,
-                strategy: self.strategy,
-            });
-        }
-        let model = match self.strategy {
+        let (inner, report) = match self.strategy {
+            _ if k == 2 => {
+                let spe = self.binary.try_fit_dataset(data, seed)?;
+                let report = spe.fit_report().clone();
+                (Box::new(spe) as Box<dyn Model>, report)
+            }
             MultiClassStrategy::OneVsRest => self.fit_one_vs_rest(data, seed)?,
             MultiClassStrategy::Native => self.fit_native(data, seed)?,
         };
         Ok(MultiClassSpe {
-            inner: Box::new(model),
+            inner,
             n_classes: k,
             strategy: self.strategy,
+            report,
         })
     }
 
@@ -135,8 +135,14 @@ impl MultiClassSpeConfig {
     }
 
     /// One binary SPE per class (class `c` = positive, rest = negative),
-    /// each seeded from an independent fork of `seed`.
-    fn fit_one_vs_rest(&self, data: &Dataset, seed: u64) -> Result<OneVsRestModel, SpeError> {
+    /// each seeded from an independent fork of `seed`. The report lists
+    /// the sub-fits' slots class-major; the input, and so its sanitizer
+    /// findings, is the same for every sub-fit.
+    fn fit_one_vs_rest(
+        &self,
+        data: &Dataset,
+        seed: u64,
+    ) -> Result<(Box<dyn Model>, FitReport), SpeError> {
         let k = data.n_classes();
         let counts = data.class_counts();
         if let Some(missing) = counts.iter().position(|&c| c == 0) {
@@ -145,6 +151,7 @@ impl MultiClassSpeConfig {
             });
         }
         let mut per_class: Vec<Box<dyn Model>> = Vec::with_capacity(k);
+        let mut report = FitReport::default();
         for c in 0..k {
             let binary_y: Vec<u8> = data
                 .y()
@@ -155,130 +162,159 @@ impl MultiClassSpeConfig {
             let spe = self
                 .binary
                 .try_fit_dataset(&sub, fork_seed(seed, 0x0C1A5500 + c as u64))?;
+            let sub_report = spe.fit_report();
+            report.members.extend_from_slice(&sub_report.members);
+            report.sanitize = sub_report.sanitize.clone();
+            report.budget_exhausted |= sub_report.budget_exhausted;
             per_class.push(Box::new(spe));
         }
-        Ok(OneVsRestModel::new(per_class))
+        Ok((Box::new(OneVsRestModel::new(per_class)), report))
     }
 
     /// The joint k-way loop: per-iteration per-class self-paced
     /// subsets (schedule targets, k-way hardness), k one-vs-rest base
     /// fits per member on the shared subset, regrouped per class.
-    fn fit_native(&self, data: &Dataset, seed: u64) -> Result<OneVsRestModel, SpeError> {
-        if self.binary.n_estimators == 0 {
-            return Err(SpeError::InvalidConfig(
-                "need at least one estimator".into(),
-            ));
-        }
-        if self.binary.k_bins == 0 {
-            return Err(SpeError::InvalidConfig("need at least one bin".into()));
-        }
+    ///
+    /// Each member trains in a fault slot like a binary member. Its draw
+    /// keeps its own RNG order — every class drawn from the round RNG,
+    /// then a shuffle, members seeded from `fork_seed(seed, 0x3A71E000 +
+    /// i)` — which is why it does not run on the binary round loop.
+    fn fit_native(
+        &self,
+        data: &Dataset,
+        seed: u64,
+    ) -> Result<(Box<dyn Model>, FitReport), SpeError> {
+        let cfg = &self.binary;
+        cfg.validate()?;
         // Reject/repair dirty features and missing classes up front,
         // exactly like the binary path.
-        let (clean, _report) = Sanitizer::new(self.binary.sanitize).sanitize(data)?;
+        let (clean, sanitize) = Sanitizer::new(cfg.sanitize).sanitize(data)?;
         let data = clean.as_ref();
 
-        self.binary.runtime.install(|| {
-            let k = data.n_classes();
-            let n = self.binary.n_estimators;
-            let class_rows = data.per_class_indices();
-            let counts = data.class_counts();
-            let n_rows = data.len();
-            let sampler = SelfPacedSampler {
-                k_bins: self.binary.k_bins,
-            };
-            let mut rng = SeededRng::new(seed);
+        cfg.runtime.install(|| {
+            cfg.budget.install(|| {
+                let k = data.n_classes();
+                let n = cfg.n_estimators;
+                let class_rows = data.per_class_indices();
+                let counts = data.class_counts();
+                let sampler = SelfPacedSampler { k_bins: cfg.k_bins };
+                let mut rng = SeededRng::new(seed);
 
-            // Running sum of each member's *raw* one-vs-rest scores,
-            // row-major [n_rows × k]. Normalizing a row of sums equals
-            // normalizing the row of averages, so hardness is measured
-            // against exactly the distribution the final model outputs.
-            let mut score_sum = vec![0.0f64; n_rows * k];
-            let mut members: Vec<Vec<Box<dyn Model>>> = Vec::with_capacity(n);
+                // Running sum of each member's *raw* one-vs-rest scores,
+                // row-major [n_rows × k]. Normalizing a row of sums equals
+                // normalizing the row of averages, so hardness is measured
+                // against exactly the distribution the final model outputs.
+                let mut score_sum = vec![0.0f64; data.len() * k];
+                let mut members: Vec<Vec<Box<dyn Model>>> = Vec::with_capacity(n);
+                let mut outcomes = Vec::with_capacity(n);
 
-            for i in 0..n {
-                let targets = self.balancing.targets(&counts, i, n);
-
-                // Per-class subset selection (positions within each
-                // class's row list).
-                let mut subset_rows: Vec<usize> = Vec::new();
-                let alpha = self.binary.alpha_schedule.alpha(i, n);
-                for (c, rows) in class_rows.iter().enumerate() {
-                    if rows.is_empty() {
+                for i in 0..n {
+                    if !members.is_empty() && spe_runtime::budget_exceeded() {
+                        outcomes.push(MemberOutcome::Skipped);
                         continue;
                     }
-                    let selected: Vec<usize> = if members.is_empty() || alpha.is_none() {
-                        // First member (line 2 of Algorithm 1) and the
-                        // Uniform-ablation schedule: plain random.
-                        rng.sample_indices(rows.len(), targets[c].min(rows.len()))
-                    } else {
-                        let hardness: Vec<f64> = rows
-                            .iter()
-                            .map(|&r| {
-                                let row = &score_sum[r * k..(r + 1) * k];
-                                let total: f64 = row.iter().sum();
-                                let p_true = if total > 0.0 {
-                                    row[c] / total
-                                } else {
-                                    1.0 / k as f64
-                                };
-                                self.binary.hardness.eval_class(p_true)
-                            })
-                            .collect();
-                        sampler
-                            .sample(&hardness, alpha.unwrap_or(0.0), targets[c], &mut rng)
-                            .selected
-                    };
-                    subset_rows.extend(selected.iter().map(|&s| rows[s]));
-                }
+                    let targets = self.balancing.targets(&counts, i, n);
 
-                // Shuffle so batch-training base learners see mixed
-                // classes, then materialize the shared subset once.
-                rng.shuffle(&mut subset_rows);
-                let sub_x = data.x().select_rows(&subset_rows);
-                let sub_y: Vec<u8> = subset_rows.iter().map(|&r| data.y()[r]).collect();
-
-                // K one-vs-rest base fits on the shared subset.
-                let member_seed = fork_seed(seed, 0x3A71E000 + i as u64);
-                let mut scorers: Vec<Box<dyn Model>> = Vec::with_capacity(k);
-                for c in 0..k {
-                    let bin_y: Vec<u8> = sub_y.iter().map(|&l| u8::from(l as usize == c)).collect();
-                    let scorer: Box<dyn Model> = if !bin_y.contains(&1) {
-                        Box::new(ConstantModel(0.0))
-                    } else if !bin_y.contains(&0) {
-                        Box::new(ConstantModel(1.0))
-                    } else {
-                        self.binary
-                            .base
-                            .fit(&sub_x, &bin_y, fork_seed(member_seed, c as u64))
-                    };
-                    let scores = scorer.predict_proba(data.x());
-                    if !scores.iter().all(|p| p.is_finite()) {
-                        return Err(SpeError::NonFiniteOutput {
-                            context: format!("member {i} class {c}"),
-                        });
+                    // Per-class subset selection (positions within each
+                    // class's row list).
+                    let mut subset_rows: Vec<usize> = Vec::new();
+                    let alpha = cfg.alpha_schedule.alpha(i, n);
+                    for (c, rows) in class_rows.iter().enumerate() {
+                        if rows.is_empty() {
+                            continue;
+                        }
+                        let selected: Vec<usize> = if members.is_empty() || alpha.is_none() {
+                            // First member (line 2 of Algorithm 1) and the
+                            // Uniform-ablation schedule: plain random.
+                            rng.sample_indices(rows.len(), targets[c].min(rows.len()))
+                        } else {
+                            let hardness: Vec<f64> = rows
+                                .iter()
+                                .map(|&r| {
+                                    let row = &score_sum[r * k..(r + 1) * k];
+                                    let total: f64 = row.iter().sum();
+                                    let p_true = if total > 0.0 {
+                                        row[c] / total
+                                    } else {
+                                        1.0 / k as f64
+                                    };
+                                    cfg.hardness.eval_class(p_true)
+                                })
+                                .collect();
+                            sampler
+                                .sample(&hardness, alpha.unwrap_or(0.0), targets[c], &mut rng)
+                                .selected
+                        };
+                        subset_rows.extend(selected.iter().map(|&s| rows[s]));
                     }
-                    for (r, &p) in scores.iter().enumerate() {
-                        score_sum[r * k + c] += p;
-                    }
-                    scorers.push(scorer);
-                }
-                members.push(scorers);
-            }
 
-            // Regroup member-major → class-major: class c's scorer is
-            // the soft vote of every member's c-th fit.
-            let mut by_class: Vec<Vec<Box<dyn Model>>> =
-                (0..k).map(|_| Vec::with_capacity(n)).collect();
-            for member in members {
-                for (c, scorer) in member.into_iter().enumerate() {
-                    by_class[c].push(scorer);
+                    // Shuffle so batch-training base learners see mixed
+                    // classes, then materialize the shared subset once.
+                    rng.shuffle(&mut subset_rows);
+                    let sub_x = data.x().select_rows(&subset_rows);
+                    let sub_y: Vec<u8> = subset_rows.iter().map(|&r| data.y()[r]).collect();
+
+                    // K one-vs-rest base fits on the shared subset, each
+                    // scored and added to the running sums as it trains.
+                    let first = fork_seed(seed, 0x3A71E000 + i as u64);
+                    let (member, outcome) = member_slot(cfg, i, first, seed, |member_seed| {
+                        let mut scorers: Vec<Box<dyn Model>> = Vec::with_capacity(k);
+                        for c in 0..k {
+                            let bin_y: Vec<u8> =
+                                sub_y.iter().map(|&l| u8::from(l as usize == c)).collect();
+                            let scorer: Box<dyn Model> = if !bin_y.contains(&1) {
+                                Box::new(ConstantModel(0.0))
+                            } else if !bin_y.contains(&0) {
+                                Box::new(ConstantModel(1.0))
+                            } else {
+                                cfg.base
+                                    .fit(&sub_x, &bin_y, fork_seed(member_seed, c as u64))
+                            };
+                            let scores = scorer.predict_proba(data.x());
+                            ensure_finite(&scores, || format!("member {i} class {c}"))?;
+                            for (r, &p) in scores.iter().enumerate() {
+                                score_sum[r * k + c] += p;
+                            }
+                            scorers.push(scorer);
+                        }
+                        Ok(scorers)
+                    })?;
+                    let faulted = outcome != MemberOutcome::Trained;
+                    outcomes.push(outcome);
+                    members.extend(member);
+                    if faulted {
+                        // A failed attempt may have added some of its
+                        // scores: rebuild the sums from the accepted members
+                        // — the same additions in the same order, so the
+                        // same bits as a fault-free run.
+                        score_sum.fill(0.0);
+                        for (c, scorer) in members.iter().flat_map(|m| m.iter().enumerate()) {
+                            for (r, p) in scorer.predict_proba(data.x()).into_iter().enumerate() {
+                                score_sum[r * k + c] += p;
+                            }
+                        }
+                    }
                 }
-            }
-            let per_class: Vec<Box<dyn Model>> = by_class
-                .into_iter()
-                .map(|ms| Box::new(SoftVoteEnsemble::new(ms)) as Box<dyn Model>)
-                .collect();
-            Ok(OneVsRestModel::new(per_class))
+                let report = finish_report(cfg, outcomes, sanitize)?;
+
+                // Regroup member-major → class-major: class c's scorer is
+                // the soft vote of every member's c-th fit.
+                let mut by_class: Vec<Vec<Box<dyn Model>>> =
+                    (0..k).map(|_| Vec::with_capacity(members.len())).collect();
+                for member in members {
+                    for (c, scorer) in member.into_iter().enumerate() {
+                        by_class[c].push(scorer);
+                    }
+                }
+                let per_class: Vec<Box<dyn Model>> = by_class
+                    .into_iter()
+                    .map(|ms| Box::new(SoftVoteEnsemble::new(ms)) as Box<dyn Model>)
+                    .collect();
+                Ok((
+                    Box::new(OneVsRestModel::new(per_class)) as Box<dyn Model>,
+                    report,
+                ))
+            })
         })
     }
 }
@@ -293,6 +329,7 @@ pub struct MultiClassSpe {
     inner: Box<dyn Model>,
     n_classes: usize,
     strategy: MultiClassStrategy,
+    report: FitReport,
 }
 
 impl std::fmt::Debug for MultiClassSpe {
@@ -310,6 +347,14 @@ impl MultiClassSpe {
         self.strategy
     }
 
+    /// How the fit went: the native loop's own report, the binary
+    /// report at `k = 2`, or the one-vs-rest sub-reports merged (slots
+    /// class-major, budget flags OR-ed). Loaded models report
+    /// empty-but-clean, like [`SelfPacedEnsemble::from_snapshot`].
+    pub fn fit_report(&self) -> &FitReport {
+        &self.report
+    }
+
     /// Rebuilds a k-class SPE from a persisted snapshot: `MultiClass`
     /// restores the per-class model, `SelfPaced` restores the binary
     /// special case. Other kinds are a typed mismatch.
@@ -322,12 +367,14 @@ impl MultiClassSpe {
                     inner: Box::new(OneVsRestModel::new(scorers)),
                     n_classes: k,
                     strategy: MultiClassStrategy::OneVsRest,
+                    report: FitReport::default(),
                 })
             }
             snap @ ModelSnapshot::SelfPaced { .. } => Ok(Self {
                 inner: Box::new(SelfPacedEnsemble::from_snapshot(snap)?),
                 n_classes: 2,
                 strategy: MultiClassStrategy::OneVsRest,
+                report: FitReport::default(),
             }),
             other => Err(SpeError::InvalidConfig(format!(
                 "cannot rebuild a multi-class SPE from a {:?} snapshot",
@@ -417,6 +464,7 @@ mod tests {
                 binary.predict_proba(data.x()),
                 "{strategy:?} drifted from the binary path"
             );
+            assert_eq!(mc.fit_report(), binary.fit_report());
         }
     }
 
@@ -488,6 +536,48 @@ mod tests {
                 "{strategy:?} snapshot drifted"
             );
         }
+    }
+
+    #[test]
+    fn fit_report_covers_every_strategy() {
+        let mut data = blobs(3, 160, 13);
+        data.x_mut().row_mut(4)[1] = f64::NAN;
+        let cfg = MultiClassSpeConfig {
+            binary: SelfPacedEnsembleConfig {
+                sanitize: spe_data::SanitizePolicy::ImputeMean,
+                ..SelfPacedEnsembleConfig::new(4)
+            },
+            ..MultiClassSpeConfig::default()
+        };
+        let native = cfg
+            .clone()
+            .strategy(MultiClassStrategy::Native)
+            .try_fit_dataset(&data, 5)
+            .unwrap();
+        let report = native.fit_report();
+        assert_eq!(report.sanitize.imputed_cells, 1);
+        assert_eq!(report.n_trained(), 4);
+        // One-vs-rest: the k sub-reports, class-major.
+        let ovr = cfg.try_fit_dataset(&data, 5).unwrap();
+        assert_eq!(ovr.fit_report().members.len(), 3 * 4);
+        assert_eq!(ovr.fit_report().sanitize.imputed_cells, 1);
+        // Loaded models report empty-but-clean.
+        let loaded = MultiClassSpe::from_snapshot(native.snapshot().unwrap()).unwrap();
+        assert_eq!(loaded.fit_report(), &FitReport::default());
+        // Native now validates like every other entry point.
+        let too_many = MultiClassSpeConfig {
+            binary: SelfPacedEnsembleConfig {
+                min_members: 99,
+                ..SelfPacedEnsembleConfig::new(6)
+            },
+            ..MultiClassSpeConfig::default()
+        };
+        assert!(matches!(
+            too_many
+                .strategy(MultiClassStrategy::Native)
+                .try_fit_dataset(&data, 5),
+            Err(SpeError::InvalidConfig(_))
+        ));
     }
 
     #[test]

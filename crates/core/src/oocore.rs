@@ -12,14 +12,14 @@
 //!                    column-major) ──> on-disk spill blocks
 //! ```
 //!
-//! Training then runs the usual self-paced loop against the code store:
-//! each member's training sub-index is stitched from the precomputed
-//! minority codes plus the selected majority codes gathered from the
-//! spill ([`BinIndex::from_parts`] + the `BinnedLearner` row-subset
-//! hook), and the freshly trained member is recompiled against the grid
-//! ([`BinScorer`], the compiler serving shares) to score every spill
-//! block in place into an `f64` running-sum sidecar — the hardness
-//! input of the next round.
+//! Training then runs the shared round loop over the code store as a
+//! row store: each member's training sub-index is stitched from the
+//! precomputed minority codes plus the selected majority codes gathered
+//! from the spill ([`BinIndex::from_parts`] + the `BinnedLearner`
+//! row-subset hook), and the freshly trained member is recompiled
+//! against the grid ([`BinScorer`], the compiler serving shares) to
+//! score every spill block in place — inside the member's fault slot,
+//! so a non-finite score retries the member.
 //!
 //! Memory accounting (per row of width `d`): the streaming working set
 //! is ≈ `17 d` bytes (chunk `f64`s, the majority copy, its codes), the
@@ -27,23 +27,20 @@
 //! hardness) plus the dense minority block. Chunk budgets should leave
 //! roughly half the budget for the sidecars; see `bench_oocore`.
 
-use crate::ensemble::score_codes;
-use crate::report::{FitReport, MemberOutcome};
-use crate::sampler::SelfPacedSampler;
+use crate::rounds::{fit_rounds, score_codes, RowStore};
 use crate::SelfPacedEnsemble;
 use crate::SelfPacedEnsembleConfig;
 use spe_data::sketch::DEFAULT_SKETCH_CAPACITY;
 use spe_data::{
     encode_batch_into, BinIndex, Chunk, ChunkedSource, Matrix, QuantileSketch, SanitizePolicy,
-    SpeError, POSITIVE,
+    SeededRng, SpeError, POSITIVE,
 };
 use spe_learners::binspace::{BinScorer, CodeView};
-use spe_learners::traits::{BinnedProblem, Model};
-use spe_runtime::{fork_seed, panic_message};
+use spe_learners::traits::{BinnedLearner, BinnedProblem, Model};
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read as _, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io::{BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Options of an out-of-core fit (the SPE hyper-parameters live on
 /// [`SelfPacedEnsembleConfig`]; these only shape the streaming
@@ -55,8 +52,8 @@ pub struct ChunkedFitOptions {
     /// feature).
     pub sketch_capacity: usize,
     /// Directory for the spilled majority code blocks. `None` puts a
-    /// process-unique directory under the system temp dir. Spill files
-    /// are removed when the fit finishes (or fails).
+    /// directory of its own under the system temp dir. Every fit spills
+    /// to a file of its own, removed when the fit finishes (or fails).
     pub spill_dir: Option<PathBuf>,
     /// Cap on minority rows held dense in RAM — a guard rail for the
     /// imbalance assumption; exceeding it is a typed error rather than
@@ -122,20 +119,7 @@ impl SelfPacedEnsembleConfig {
         opts: &ChunkedFitOptions,
         seed: u64,
     ) -> Result<(SelfPacedEnsemble, OocReport), SpeError> {
-        if self.n_estimators == 0 {
-            return Err(SpeError::InvalidConfig(
-                "need at least one estimator".into(),
-            ));
-        }
-        if self.k_bins == 0 {
-            return Err(SpeError::InvalidConfig("need at least one bin".into()));
-        }
-        if self.min_members > self.n_estimators {
-            return Err(SpeError::InvalidConfig(format!(
-                "min_members ({}) exceeds n_estimators ({})",
-                self.min_members, self.n_estimators
-            )));
-        }
+        self.validate()?;
         if matches!(self.sanitize, SanitizePolicy::ImputeMean) {
             return Err(SpeError::InvalidConfig(
                 "SanitizePolicy::ImputeMean is not supported for chunked fits \
@@ -261,10 +245,7 @@ impl SelfPacedEnsembleConfig {
 
         // ---- Pass 2: encode majority chunks into the spill ----------
         source.reset()?;
-        let spill_dir = opts.spill_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("spe-oocore-{}-{seed:x}", std::process::id()))
-        });
-        let mut spill = CodeSpill::create(&spill_dir, d)?;
+        let mut spill = CodeSpill::create(opts.spill_dir.as_deref(), d)?;
         let mut maj_buf = Matrix::with_capacity(source.chunk_rows(), d);
         let mut code_buf: Vec<u8> = Vec::with_capacity(source.chunk_rows() * d);
         while source.next_chunk(&mut chunk)? {
@@ -298,159 +279,19 @@ impl SelfPacedEnsembleConfig {
         drop(keep);
 
         // ---- Training rounds (Algorithm 1 over the code store) ------
-        let learner = self.base.as_binned().expect("checked in try_fit_chunked");
-        let n = self.n_estimators;
-        let sampler = SelfPacedSampler {
-            k_bins: self.k_bins,
+        let mut store = Spilled {
+            learner: self.base.as_binned().expect("checked in try_fit_chunked"),
+            cuts,
+            minority_codes,
+            n_pos,
+            spill,
         };
-        let mut rng = spe_data::SeededRng::new(seed);
-        let retry_root = fork_seed(seed, 0xFA01);
-
-        let mut models: Vec<Box<dyn Model>> = Vec::with_capacity(n);
-        let mut alphas: Vec<f64> = Vec::with_capacity(n);
-        let mut outcomes: Vec<MemberOutcome> = Vec::with_capacity(n);
-        let mut proba_sum = vec![0.0f64; n_neg];
-        let mut hardness_buf = vec![0.0f64; n_neg];
-        let mut score_buf: Vec<f64> = Vec::new();
-
-        for i in 0..n {
-            if !models.is_empty() && spe_runtime::budget_exceeded() {
-                outcomes.push(MemberOutcome::Skipped);
-                continue;
-            }
-
-            let (mut selected, alpha) = if models.is_empty() {
-                (rng.sample_indices(n_neg, n_pos.min(n_neg)), 0.0)
-            } else {
-                let inv = 1.0 / models.len() as f64;
-                for (h, &s) in hardness_buf.iter_mut().zip(&proba_sum) {
-                    *h = self.hardness.eval(s * inv, 0);
-                }
-                match self.alpha_schedule.alpha(i, n) {
-                    Some(alpha) => (
-                        sampler
-                            .sample(&hardness_buf, alpha, n_pos, &mut rng)
-                            .selected,
-                        alpha,
-                    ),
-                    None => (rng.sample_indices(n_neg, n_pos.min(n_neg)), f64::NAN),
-                }
-            };
-            // Row order does not influence histogram training, and a
-            // sorted selection turns the spill gather into one
-            // sequential scan.
-            selected.sort_unstable();
-
-            let m = n_pos + selected.len();
-            let mut member_codes = vec![0u8; m * d];
-            for f in 0..d {
-                member_codes[f * m..f * m + n_pos]
-                    .copy_from_slice(&minority_codes[f * n_pos..(f + 1) * n_pos]);
-            }
-            spill.gather(&selected, &mut member_codes, m, n_pos)?;
-            let member_bins = BinIndex::from_parts(cuts.clone(), member_codes, m);
-            let mut member_y = vec![POSITIVE; n_pos];
-            member_y.resize(m, 0);
-            let member_rows: Vec<u32> = (0..m as u32).collect();
-
-            // Fit with the same retry contract as the in-memory path;
-            // scoring happens after a successful fit (compiled tree
-            // traversal cannot panic or emit non-finite values, so it
-            // never needs the retry loop).
-            let member_rng = rng.fork(i as u64);
-            let mut last_err = SpeError::Panicked {
-                context: format!("member {i}"),
-                message: "never attempted".into(),
-            };
-            let mut trained: Option<Box<dyn Model>> = None;
-            let mut attempts = 0usize;
-            for attempt in 0..=self.max_member_retries {
-                let mut attempt_rng = if attempt == 0 {
-                    member_rng.clone()
-                } else {
-                    spe_data::SeededRng::new(fork_seed(
-                        fork_seed(retry_root, i as u64),
-                        attempt as u64,
-                    ))
-                };
-                attempts = attempt + 1;
-                let problem = BinnedProblem {
-                    bins: &member_bins,
-                    y: &member_y,
-                    weights: None,
-                };
-                let fit_seed = attempt_rng.below(u32::MAX as usize) as u64;
-                match catch_unwind(AssertUnwindSafe(|| {
-                    learner.fit_on_bins(&problem, &member_rows, fit_seed)
-                })) {
-                    Ok(model) => {
-                        trained = Some(model);
-                        break;
-                    }
-                    Err(payload) => {
-                        last_err = SpeError::Panicked {
-                            context: format!("member {i}"),
-                            message: panic_message(payload.as_ref()),
-                        };
-                    }
-                }
-            }
-
-            match trained {
-                Some(model) => {
-                    let snapshot = model.snapshot().ok_or_else(|| {
-                        SpeError::InvalidConfig(
-                            "model does not support snapshots, cannot bin-compile".into(),
-                        )
-                    })?;
-                    let scorer = BinScorer::compile(&snapshot, &cuts)?;
-                    spill.for_each_block(|start, block_rows, codes| {
-                        score_buf.resize(block_rows, 0.0);
-                        score_codes(&scorer, CodeView::new(codes, block_rows), &mut score_buf);
-                        if !score_buf.iter().all(|p| p.is_finite()) {
-                            return Err(SpeError::NonFiniteOutput {
-                                context: format!("member {i}"),
-                            });
-                        }
-                        for (s, p) in proba_sum[start..start + block_rows]
-                            .iter_mut()
-                            .zip(&score_buf)
-                        {
-                            *s += p;
-                        }
-                        Ok(())
-                    })?;
-                    models.push(model);
-                    alphas.push(alpha);
-                    outcomes.push(if attempts == 1 {
-                        MemberOutcome::Trained
-                    } else {
-                        MemberOutcome::Retried { attempts }
-                    });
-                }
-                None => outcomes.push(MemberOutcome::Dropped { error: last_err }),
-            }
-        }
-
-        let required = self.min_members.max(1);
-        if models.len() < required {
-            return Err(SpeError::TrainingFailed {
-                trained: models.len(),
-                required,
-            });
-        }
-
-        let spill_bytes = spill.bytes();
-        let report = FitReport {
-            members: outcomes,
-            sanitize: spe_data::SanitizeReport {
-                non_finite_cells: rows_dropped as usize,
-                dropped_rows: rows_dropped as usize,
-                ..Default::default()
-            },
-            budget_exhausted: spe_runtime::budget_exceeded(),
+        let sanitize = spe_data::SanitizeReport {
+            non_finite_cells: rows_dropped as usize,
+            dropped_rows: rows_dropped as usize,
+            ..Default::default()
         };
-        let ensemble = SelfPacedEnsemble::from_members(models, alphas, report)?;
+        let ensemble = fit_rounds(self, &mut store, seed, None, None, sanitize)?;
         Ok((
             ensemble,
             OocReport {
@@ -458,11 +299,75 @@ impl SelfPacedEnsembleConfig {
                 n_minority: n_pos,
                 n_majority: n_neg,
                 chunks,
-                spill_bytes,
+                spill_bytes: store.spill.bytes(),
                 max_rank_error,
                 rows_dropped,
             },
         ))
+    }
+}
+
+/// The out-of-core fit's rows: the dense minority codes and the spilled
+/// majority codes, all on one cut grid.
+struct Spilled<'a> {
+    learner: &'a dyn BinnedLearner,
+    cuts: Vec<Vec<f64>>,
+    /// Column-major, `n_pos` rows.
+    minority_codes: Vec<u8>,
+    n_pos: usize,
+    spill: CodeSpill,
+}
+
+impl RowStore for Spilled<'_> {
+    fn class_counts(&self) -> (usize, usize) {
+        (self.n_pos, self.spill.total_rows())
+    }
+
+    /// Stitches the member's sub-index from the minority codes plus the
+    /// selected majority codes gathered from the spill.
+    fn fit(&mut self, selected: &[usize], mut rng: SeededRng) -> Result<Box<dyn Model>, SpeError> {
+        // Row order does not influence histogram training, and a sorted
+        // copy turns the gather into one sequential scan.
+        let mut sorted = selected.to_vec();
+        sorted.sort_unstable();
+        let (n_pos, d) = (self.n_pos, self.spill.d);
+        let m = n_pos + sorted.len();
+        let mut codes = vec![0u8; m * d];
+        for f in 0..d {
+            codes[f * m..f * m + n_pos]
+                .copy_from_slice(&self.minority_codes[f * n_pos..(f + 1) * n_pos]);
+        }
+        self.spill.gather(&sorted, &mut codes, m, n_pos)?;
+        let bins = BinIndex::from_parts(self.cuts.clone(), codes, m);
+        let mut y = vec![POSITIVE; n_pos];
+        y.resize(m, 0);
+        let rows: Vec<u32> = (0..m as u32).collect();
+        let problem = BinnedProblem {
+            bins: &bins,
+            y: &y,
+            weights: None,
+        };
+        Ok(self
+            .learner
+            .fit_on_bins(&problem, &rows, rng.below(u32::MAX as usize) as u64))
+    }
+
+    /// Compiles the member against the grid and scores every spill block
+    /// in place. There are no dense rows to fall back on, so a member
+    /// that does not compile fails the fit.
+    fn score(&mut self, model: &dyn Model, out: &mut [f64]) -> Result<(), SpeError> {
+        let snapshot = model.snapshot().ok_or_else(|| {
+            SpeError::InvalidConfig("model does not support snapshots, cannot bin-compile".into())
+        })?;
+        let scorer = BinScorer::compile(&snapshot, &self.cuts)?;
+        self.spill.for_each_block(|start, rows, codes| {
+            score_codes(
+                &scorer,
+                CodeView::new(codes, rows),
+                &mut out[start..start + rows],
+            );
+            Ok(())
+        })
     }
 }
 
@@ -480,13 +385,22 @@ struct CodeSpill {
 }
 
 impl CodeSpill {
-    fn create(dir: &Path, d: usize) -> Result<Self, SpeError> {
+    /// A spill file in `dir`, or in a fresh directory under the system
+    /// temp dir. Both names carry a process-wide counter, so concurrent
+    /// fits in one process never share a file.
+    fn create(dir: Option<&Path>, d: usize) -> Result<Self, SpeError> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = dir.map_or_else(
+            || std::env::temp_dir().join(format!("spe-oocore-{}-{n}", std::process::id())),
+            Path::to_path_buf,
+        );
         let owns_dir = !dir.exists();
-        fs::create_dir_all(dir)?;
-        let path = dir.join("codes.spill");
+        fs::create_dir_all(&dir)?;
+        let path = dir.join(format!("codes-{n}.spill"));
         let writer = BufWriter::new(File::create(&path)?);
         Ok(Self {
-            dir: dir.to_path_buf(),
+            dir,
             path,
             d,
             writer: Some(writer),
@@ -523,7 +437,9 @@ impl CodeSpill {
         &self,
         mut f: impl FnMut(usize, usize, &[u8]) -> Result<(), SpeError>,
     ) -> Result<(), SpeError> {
-        let mut reader = BufReader::with_capacity(1 << 20, File::open(&self.path)?);
+        // Every read is a whole block, so a buffered reader would only
+        // add a copy (and a 1 MiB buffer per scan).
+        let mut reader = File::open(&self.path)?;
         let mut buf: Vec<u8> = Vec::new();
         let mut start = 0usize;
         for &rows in &self.block_rows {
@@ -758,5 +674,58 @@ mod tests {
         let rows = chunk_rows_for_budget(64 << 20, 30);
         assert_eq!(rows, (64 << 20) / (34 * 30));
         assert_eq!(chunk_rows_for_budget(0, 30), 256, "floored");
+    }
+
+    #[test]
+    fn spills_in_one_dir_never_share_a_file() {
+        let dir = std::env::temp_dir().join(format!("spe-spill-test-{}", std::process::id()));
+        let mut a = CodeSpill::create(Some(&dir), 2).unwrap();
+        let mut b = CodeSpill::create(Some(&dir), 2).unwrap();
+        assert_ne!(a.path, b.path);
+        a.append_block(3, &[1, 2, 3, 4, 5, 6]).unwrap();
+        b.append_block(2, &[7, 8, 9, 10]).unwrap();
+        a.finish().unwrap();
+        b.finish().unwrap();
+        drop(a);
+        let mut blocks = Vec::new();
+        b.for_each_block(|start, rows, codes| {
+            blocks.push((start, rows, codes.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(blocks, [(0, 2, vec![7, 8, 9, 10])]);
+        drop(b);
+        fs::remove_dir(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_same_seed_fits_match_a_sequential_fit() {
+        let d = overlapping(400, 40_000, 18);
+        let fit = || {
+            let mut src = DatasetChunks::new(&d, 4_096);
+            SelfPacedEnsembleConfig {
+                runtime: spe_runtime::Runtime::with_threads(1),
+                ..cfg(20)
+            }
+            .try_fit_chunked(&mut src, &ChunkedFitOptions::default(), 19)
+            .map(|(m, _)| m.predict_proba(d.x()))
+        };
+        let sequential = fit().unwrap();
+        // All four fits start together, so their spills overlap.
+        let start = std::sync::Barrier::new(4);
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let fits: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        fit()
+                    })
+                })
+                .collect();
+            fits.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for result in concurrent {
+            assert_eq!(result.unwrap(), sequential);
+        }
     }
 }

@@ -31,8 +31,14 @@ impl SeededRng {
 
     /// Derives an independent child RNG; `salt` distinguishes siblings.
     pub fn fork(&mut self, salt: u64) -> SeededRng {
+        SeededRng::new(self.child_seed(salt))
+    }
+
+    /// The seed [`Self::fork`] starts its child from, advancing this
+    /// generator the same way.
+    pub fn child_seed(&mut self, salt: u64) -> u64 {
         let s: u64 = self.inner.gen();
-        SeededRng::new(s ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        s ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
     /// Uniform `f64` in `[0, 1)`.

@@ -8,7 +8,7 @@
 //! injection run replays bit-for-bit regardless of thread count —
 //! exactly the property the ensemble's fault-isolation tests need.
 
-use crate::traits::{Learner, Model};
+use crate::traits::{BinRequest, BinnedLearner, BinnedProblem, Learner, Model};
 use spe_data::{Matrix, MatrixView, SeededRng};
 use spe_runtime::fork_seed;
 use std::sync::Arc;
@@ -100,6 +100,24 @@ impl Model for NanModel {
     }
 }
 
+impl FaultyLearner {
+    /// Rolls the plan for one fit attempt: panics, returns a
+    /// [`NanModel`] to hand back, or sleeps and returns `None`.
+    fn inject(&self, seed: u64) -> Option<Box<dyn Model>> {
+        let mut rng = SeededRng::new(fork_seed(self.salt, seed));
+        if rng.uniform() < self.plan.panic_prob {
+            panic!("injected fault: fit(seed={seed}) panicked");
+        }
+        if rng.uniform() < self.plan.nan_prob {
+            return Some(Box::new(NanModel));
+        }
+        if rng.uniform() < self.plan.stall_prob {
+            std::thread::sleep(self.plan.stall);
+        }
+        None
+    }
+}
+
 impl Learner for FaultyLearner {
     fn fit_weighted(
         &self,
@@ -108,21 +126,35 @@ impl Learner for FaultyLearner {
         weights: Option<&[f64]>,
         seed: u64,
     ) -> Box<dyn Model> {
-        let mut rng = SeededRng::new(fork_seed(self.salt, seed));
-        if rng.uniform() < self.plan.panic_prob {
-            panic!("injected fault: fit(seed={seed}) panicked");
-        }
-        if rng.uniform() < self.plan.nan_prob {
-            return Box::new(NanModel);
-        }
-        if rng.uniform() < self.plan.stall_prob {
-            std::thread::sleep(self.plan.stall);
-        }
-        self.inner.fit_weighted(x, y, weights, seed)
+        self.inject(seed)
+            .unwrap_or_else(|| self.inner.fit_weighted(x, y, weights, seed))
     }
 
     fn name(&self) -> &'static str {
         "Faulty"
+    }
+
+    /// Forwards the inner learner's binned hook, so histogram fits meet
+    /// the same faults.
+    fn as_binned(&self) -> Option<&dyn BinnedLearner> {
+        self.inner.as_binned().map(|_| self as &dyn BinnedLearner)
+    }
+}
+
+impl BinnedLearner for FaultyLearner {
+    fn bin_request(&self) -> Option<BinRequest> {
+        self.inner.as_binned()?.bin_request()
+    }
+
+    /// Rolls the same plan as `fit_weighted`, from `fork_seed(salt, seed)`.
+    fn fit_on_bins(&self, problem: &BinnedProblem<'_>, rows: &[u32], seed: u64) -> Box<dyn Model> {
+        self.inject(seed).unwrap_or_else(|| {
+            let inner = self
+                .inner
+                .as_binned()
+                .expect("as_binned checked the inner learner");
+            inner.fit_on_bins(problem, rows, seed)
+        })
     }
 }
 
