@@ -4,6 +4,7 @@ use crate::hardness::HardnessFn;
 use crate::report::FitReport;
 use crate::rounds::{fit_rounds, score_codes, RowStore};
 use crate::sampler::AlphaSchedule;
+use spe_data::binning::MAX_BINS;
 use spe_data::{
     BinIndex, BinaryIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng,
     SpeError,
@@ -215,6 +216,15 @@ impl SelfPacedEnsembleConfig {
                 "min_members ({}) exceeds n_estimators ({})",
                 self.min_members, self.n_estimators
             )));
+        }
+        // `BinIndex::build` and the chunked cut grid assert this range.
+        if let Some(req) = self.base.as_binned().and_then(|bl| bl.bin_request()) {
+            if !(2..=MAX_BINS).contains(&req.max_bins) {
+                return Err(SpeError::InvalidConfig(format!(
+                    "base learner max_bins must be in 2..={MAX_BINS}, got {}",
+                    req.max_bins
+                )));
+            }
         }
         Ok(())
     }

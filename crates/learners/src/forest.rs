@@ -6,9 +6,11 @@
 use crate::ensemble::{
     fit_on_bins_parallel, fit_parallel, BinnedTrainJob, SoftVoteEnsemble, TrainJob,
 };
-use crate::traits::{check_fit_inputs, BinnedProblem, ConstantModel, Learner, Model};
-use crate::tree::{DecisionTreeConfig, SplitMethod};
-use spe_data::{BinIndex, Matrix, SeededRng};
+use crate::traits::{
+    check_fit_inputs, validate_fit_inputs, BinnedProblem, ConstantModel, Learner, Model,
+};
+use crate::tree::{check_max_bins, DecisionTreeConfig, SplitMethod};
+use spe_data::{BinIndex, Matrix, SeededRng, SpeError};
 
 /// Random-forest hyper-parameters.
 #[derive(Clone, Debug)]
@@ -120,6 +122,18 @@ impl Learner for RandomForestConfig {
             .collect();
         let models = fit_parallel(&tree_cfg, jobs);
         Box::new(SoftVoteEnsemble::new(models))
+    }
+
+    fn try_fit_weighted(
+        &self,
+        x: &Matrix,
+        y: &[u8],
+        weights: Option<&[f64]>,
+        seed: u64,
+    ) -> Result<Box<dyn Model>, SpeError> {
+        check_max_bins(self.split_method, self.max_bins)?;
+        validate_fit_inputs(x, y, weights)?;
+        Ok(self.fit_weighted(x, y, weights, seed))
     }
 
     fn name(&self) -> &'static str {

@@ -11,11 +11,11 @@ use crate::logistic::sigmoid;
 use crate::persist::ModelSnapshot;
 use crate::regtree::{RegTree, RegTreeConfig};
 use crate::traits::{
-    check_fit_inputs, effective_weights, weighted_positive_fraction, ConstantModel, FeatureBound,
-    Learner, Model,
+    check_fit_inputs, effective_weights, validate_fit_inputs, weighted_positive_fraction,
+    ConstantModel, FeatureBound, Learner, Model,
 };
-use crate::tree::SplitMethod;
-use spe_data::{BinIndex, Matrix, MatrixView, SeededRng};
+use crate::tree::{check_max_bins, SplitMethod};
+use spe_data::{BinIndex, Matrix, MatrixView, SeededRng, SpeError};
 
 /// Early-stopping policy for GBDT.
 #[derive(Clone, Copy, Debug)]
@@ -243,6 +243,18 @@ impl Learner for GbdtConfig {
             eta: self.learning_rate,
             trees,
         })
+    }
+
+    fn try_fit_weighted(
+        &self,
+        x: &Matrix,
+        y: &[u8],
+        weights: Option<&[f64]>,
+        seed: u64,
+    ) -> Result<Box<dyn Model>, SpeError> {
+        check_max_bins(self.split_method, self.max_bins)?;
+        validate_fit_inputs(x, y, weights)?;
+        Ok(self.fit_weighted(x, y, weights, seed))
     }
 
     fn name(&self) -> &'static str {

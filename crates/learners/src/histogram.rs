@@ -1,13 +1,14 @@
-//! Per-bin statistic accumulation shared by the histogram split finders
-//! of the classification tree ([`crate::tree`]) and the gradient
-//! regression tree ([`crate::regtree`]).
+//! Per-bin statistic accumulation for the histogram grower
+//! ([`crate::grow::histogram`]), which grows both the classification
+//! tree ([`crate::tree`]) and the gradient regression tree
+//! ([`crate::regtree`]).
 //!
-//! Both trees need the same machinery: for every candidate feature, sum
-//! a pair of per-sample quantities into that feature's bins
-//! (weight / weighted-positive for classification, gradient / hessian
-//! for regression), then scan bin prefixes for the best split. The pair
-//! is kept generic as `(a, b)` here; `n` counts samples so
-//! `min_samples_leaf` can be enforced without a second pass.
+//! For every candidate feature the grower sums a pair of per-sample
+//! quantities into that feature's bins (weight / weighted-positive for
+//! classification, gradient / hessian for regression), then scans bin
+//! prefixes for the best split. The pair is kept generic as `(a, b)`
+//! here; `n` counts samples so `min_samples_leaf` can be enforced
+//! without a second pass.
 //!
 //! Node histograms are additive, which buys the classic subtraction
 //! trick: `hist(parent) = hist(left) + hist(right)`, so after computing

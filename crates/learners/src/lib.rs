@@ -26,13 +26,12 @@ pub mod ensemble;
 pub mod fault;
 pub mod forest;
 pub mod gbdt;
+mod grow;
 mod histogram;
-pub mod kdtree;
 pub mod knn;
 pub mod logistic;
 pub mod mlp;
 pub mod multiclass;
-pub mod naive_bayes;
 pub mod neighbors;
 pub mod persist;
 pub mod regtree;
@@ -54,7 +53,6 @@ pub use logistic::sigmoid;
 pub use logistic::{LogisticModel, LogisticRegressionConfig};
 pub use mlp::MlpConfig;
 pub use multiclass::OneVsRestModel;
-pub use naive_bayes::GaussianNbConfig;
 pub use persist::ModelSnapshot;
 pub use regtree::RegTree;
 pub use svm::{SvmConfig, SvmModel};

@@ -10,8 +10,8 @@
 //!
 //! Two deliberate design points:
 //!
-//! - Models without persistence support (MLP, AdaBoost, Naive Bayes,
-//!   user-defined models) simply return `None` from `snapshot()`; the
+//! - Models without persistence support (MLP, AdaBoost, user-defined
+//!   models) simply return `None` from `snapshot()`; the
 //!   serving layer turns that into a typed "unsupported model" error
 //!   instead of a panic.
 //! - The `SelfPaced` variant stores plain data (per-member hardness
@@ -400,6 +400,59 @@ mod tests {
                 ModelSnapshot::from_bytes(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_malformed_tree_arenas() {
+        // Arenas as (feature, left, right); `u32::MAX` marks a leaf.
+        type Nodes<'a> = &'a [(u32, u32, u32)];
+        const LEAF: u32 = u32::MAX;
+        let put_arena = |w: &mut Writer, nodes: Nodes| {
+            w.put_u64(nodes.len() as u64);
+            for &(feature, left, right) in nodes {
+                w.put_u32(feature);
+                w.put_u32(left);
+                w.put_u32(right);
+                w.put_f64(0.5);
+            }
+        };
+        let payloads = |nodes: Nodes| {
+            let mut tree = Writer::new();
+            tree.put_u8(TAG_TREE);
+            put_arena(&mut tree, nodes);
+            let mut gbdt = Writer::new();
+            gbdt.put_u8(TAG_GBDT);
+            gbdt.put_f64(0.0);
+            gbdt.put_f64(0.3);
+            gbdt.put_u64(1);
+            put_arena(&mut gbdt, nodes);
+            [("tree", tree.into_bytes()), ("gbdt", gbdt.into_bytes())]
+        };
+        // The hand-written encoding is the real one: a well-formed arena decodes.
+        for (kind, bytes) in payloads(&[(0, 1, 2), (LEAF, 0, 0), (LEAF, 0, 0)]) {
+            let got = ModelSnapshot::from_bytes(&bytes).map(|s| s.kind());
+            assert!(got.is_ok(), "{kind}: {got:?}");
+        }
+        let malformed: [(&str, Nodes); 4] = [
+            ("empty arena", &[]),
+            ("child is itself", &[(0, 0, 1), (LEAF, 0, 0)]),
+            (
+                "child points backward",
+                &[(0, 1, 3), (0, 0, 2), (LEAF, 0, 0), (LEAF, 0, 0)],
+            ),
+            ("child past the end", &[(0, 1, 2), (LEAF, 0, 0)]),
+        ];
+        for (name, nodes) in malformed {
+            for (kind, bytes) in payloads(nodes) {
+                let got = std::panic::catch_unwind(|| {
+                    ModelSnapshot::from_bytes(&bytes).map(|s| s.kind())
+                });
+                assert!(
+                    matches!(got, Ok(Err(DecodeError::Invalid(_)))),
+                    "{kind} / {name}: {got:?}"
+                );
+            }
         }
     }
 

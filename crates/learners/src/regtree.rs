@@ -5,13 +5,16 @@
 //! sum G and hessian sum H, the leaf value is `-G / (H + λ)` and the
 //! split gain is `G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)`.
 //!
-//! Two split engines exist, mirroring the classification tree: the
-//! exact sort-and-scan path ([`RegTree::fit`]) and a histogram path
-//! ([`RegTree::fit_binned`]) over a pre-built [`BinIndex`] — GBDT bins
-//! its training matrix once and reuses the index for every boosting
-//! round, with sibling histograms derived by parent−child subtraction.
+//! The tree is grown by the same two engines, on the same node arena, as
+//! the classification tree: the exact sort-and-scan path
+//! ([`RegTree::fit`]) and a histogram path ([`RegTree::fit_binned`])
+//! over a pre-built [`BinIndex`] — GBDT bins its training matrix once
+//! and reuses the index for every boosting round, with sibling
+//! histograms derived by parent−child subtraction. This module supplies
+//! the Newton criterion.
 
-use crate::histogram::{self, BinStat, HistLayout};
+use crate::grow::{self, Arena, Criterion, Limits};
+use crate::tree::NodeView;
 use spe_data::{BinIndex, Matrix, MatrixView};
 
 /// Hyper-parameters for the gradient regression tree.
@@ -41,86 +44,66 @@ impl Default for RegTreeConfig {
     }
 }
 
-/// Sentinel feature id marking a leaf node.
-const LEAF: u32 = u32::MAX;
-
-/// One arena node; `feature == LEAF` makes `value` the leaf score,
-/// otherwise `value` is the split threshold (`<=` goes left).
-#[derive(Clone, Copy, Debug)]
-struct FlatNode {
-    feature: u32,
-    left: u32,
-    right: u32,
-    value: f64,
+/// Newton boosting's criterion over a node's gradient sum `g` and
+/// hessian sum `h`.
+struct Newton {
+    lambda: f64,
+    min_gain: f64,
 }
 
-serde::impl_serde!(FlatNode {
-    feature,
-    left,
-    right,
-    value
-});
+impl Criterion for Newton {
+    fn node_score(&self, g: f64, h: f64) -> f64 {
+        g * g / (h + self.lambda)
+    }
 
-impl FlatNode {
-    #[inline]
-    fn leaf(value: f64) -> Self {
-        Self {
-            feature: LEAF,
-            left: 0,
-            right: 0,
-            value,
-        }
+    fn is_final(&self, _g: f64, _score: f64) -> bool {
+        false
+    }
+
+    fn gain(&self, (g_l, h_l): (f64, f64), (g, h): (f64, f64), parent: f64) -> Option<f64> {
+        let g_r = g - g_l;
+        let h_r = h - h_l;
+        Some(g_l * g_l / (h_l + self.lambda) + g_r * g_r / (h_r + self.lambda) - parent)
+    }
+
+    fn admits(&self, gain: f64) -> bool {
+        gain > self.min_gain
+    }
+
+    fn leaf(&self, g: f64, h: f64) -> f64 {
+        -g / (h + self.lambda)
+    }
+}
+
+impl RegTreeConfig {
+    fn rules(&self) -> (Newton, Limits) {
+        let crit = Newton {
+            lambda: self.lambda,
+            min_gain: self.min_gain,
+        };
+        let limits = Limits {
+            max_depth: self.max_depth,
+            min_samples_split: self.min_samples_split,
+            min_samples_leaf: self.min_samples_leaf,
+            max_features: None,
+        };
+        (crit, limits)
     }
 }
 
 /// A fitted regression tree producing additive raw scores.
 #[derive(Clone)]
 pub struct RegTree {
-    nodes: Vec<FlatNode>,
+    arena: Arena,
 }
 
-impl serde::Serialize for RegTree {
-    fn serialize(&self, w: &mut serde::Writer) {
-        serde::Serialize::serialize(&self.nodes, w);
-    }
-}
-
-impl serde::Deserialize for RegTree {
-    /// Decodes with the same parent-before-child arena validation as
-    /// [`crate::tree::TreeModel`], so a decoded tree cannot loop or
-    /// escape the arena while scoring.
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::DecodeError> {
-        let nodes = <Vec<FlatNode> as serde::Deserialize>::deserialize(r)?;
-        if nodes.is_empty() {
-            return Err(serde::DecodeError::Invalid("empty tree arena".into()));
-        }
-        let n = nodes.len() as u32;
-        for (i, node) in nodes.iter().enumerate() {
-            if node.feature == LEAF {
-                continue;
-            }
-            let i = i as u32;
-            if node.left <= i || node.right <= i || node.left >= n || node.right >= n {
-                return Err(serde::DecodeError::Invalid(format!(
-                    "tree node {i} has out-of-order children ({}, {})",
-                    node.left, node.right
-                )));
-            }
-        }
-        Ok(Self { nodes })
-    }
-}
+serde::impl_serde!(RegTree { arena });
 
 impl RegTree {
     /// Smallest row width this tree can score: one past the highest
     /// feature index it splits on (0 for a single-leaf tree).
     pub fn required_features(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.feature != LEAF)
-            .map(|n| n.feature as usize + 1)
-            .max()
-            .unwrap_or(0)
+        self.arena.required_features()
     }
 
     /// Fits a tree to per-sample gradients and hessians (exact splits).
@@ -131,22 +114,10 @@ impl RegTree {
         assert_eq!(x.rows(), grad.len(), "gradient length mismatch");
         assert_eq!(grad.len(), hess.len(), "hessian length mismatch");
         assert!(!grad.is_empty(), "cannot fit on empty data");
-        let nodes = crate::tree::with_scratch(|scratch| {
-            let mut b = RegBuilder {
-                x,
-                grad,
-                hess,
-                cfg,
-                nodes: Vec::new(),
-                scratch: &mut scratch.sorted,
-            };
-            scratch.idx.clear();
-            scratch.idx.extend(0..grad.len());
-            let root = b.build(&mut scratch.idx, 0);
-            debug_assert_eq!(root, 0);
-            b.nodes
-        });
-        RegTree { nodes }
+        let (crit, limits) = cfg.rules();
+        RegTree {
+            arena: grow::exact(x, grad, hess, &crit, &limits, 0),
+        }
     }
 
     /// Fits a tree on all rows of a pre-built bin index (histogram
@@ -158,40 +129,17 @@ impl RegTree {
         assert_eq!(bins.n_rows(), grad.len(), "gradient length mismatch");
         assert_eq!(grad.len(), hess.len(), "hessian length mismatch");
         assert!(!grad.is_empty(), "cannot fit on empty data");
-        let nodes = crate::tree::with_scratch(|scratch| {
-            scratch.rows.clear();
-            scratch.rows.extend(0..grad.len() as u32);
-            let mut b = RegHistBuilder {
-                bins,
-                grad,
-                hess,
-                cfg,
-                layout: HistLayout::new(bins),
-                nodes: Vec::new(),
-                pool: &mut scratch.hist_pool,
-            };
-            let root = b.build(&mut scratch.rows, 0, None);
-            debug_assert_eq!(root, 0);
-            b.nodes
-        });
-        RegTree { nodes }
+        let (crit, limits) = cfg.rules();
+        let rows = 0..grad.len() as u32;
+        RegTree {
+            arena: grow::histogram(bins, rows, grad, hess, &crit, &limits, 0),
+        }
     }
 
     /// Raw additive score for one sample.
     #[inline]
     pub fn predict_one(&self, row: &[f64]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            let n = self.nodes[i];
-            if n.feature == LEAF {
-                return n.value;
-            }
-            i = if row[n.feature as usize] <= n.value {
-                n.left as usize
-            } else {
-                n.right as usize
-            };
-        }
+        self.arena.predict_one(row)
     }
 
     /// Adds `eta * prediction` to the running scores, in place.
@@ -209,7 +157,7 @@ impl RegTree {
 
     /// Node count (diagnostic).
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.arena.n_nodes()
     }
 
     /// Read-only view of arena node `i` (root at 0), in the same shape
@@ -217,273 +165,8 @@ impl RegTree {
     ///
     /// # Panics
     /// Panics if `i >= self.n_nodes()`.
-    pub fn node(&self, i: usize) -> crate::tree::NodeView {
-        let n = self.nodes[i];
-        if n.feature == LEAF {
-            crate::tree::NodeView::Leaf { value: n.value }
-        } else {
-            crate::tree::NodeView::Split {
-                feature: n.feature as usize,
-                threshold: n.value,
-                left: n.left as usize,
-                right: n.right as usize,
-            }
-        }
-    }
-}
-
-struct RegBuilder<'a> {
-    x: &'a Matrix,
-    grad: &'a [f64],
-    hess: &'a [f64],
-    cfg: &'a RegTreeConfig,
-    nodes: Vec<FlatNode>,
-    scratch: &'a mut Vec<(f64, f64, f64)>, // (value, grad, hess)
-}
-
-impl<'a> RegBuilder<'a> {
-    fn leaf(&mut self, g: f64, h: f64) -> u32 {
-        let value = -g / (h + self.cfg.lambda);
-        self.nodes.push(FlatNode::leaf(value));
-        (self.nodes.len() - 1) as u32
-    }
-
-    fn build(&mut self, idx: &mut [usize], depth: usize) -> u32 {
-        let (g, h) = self.sums(idx);
-        // Budget check: pending subtrees collapse to leaves once the
-        // installed wall-clock deadline passes (still a valid tree).
-        if depth >= self.cfg.max_depth
-            || idx.len() < self.cfg.min_samples_split
-            || (depth > 0 && spe_runtime::budget_exceeded())
-        {
-            return self.leaf(g, h);
-        }
-        let Some((feature, threshold)) = self.best_split(idx, g, h) else {
-            return self.leaf(g, h);
-        };
-        let mid = crate::tree_util::partition(idx, |&i| self.x.get(i, feature) <= threshold);
-        if mid == 0 || mid == idx.len() {
-            return self.leaf(g, h);
-        }
-        self.nodes.push(FlatNode::leaf(0.0));
-        let me = (self.nodes.len() - 1) as u32;
-        let (li, ri) = idx.split_at_mut(mid);
-        let left = self.build(li, depth + 1);
-        let right = self.build(ri, depth + 1);
-        self.nodes[me as usize] = FlatNode {
-            feature: feature as u32,
-            left,
-            right,
-            value: threshold,
-        };
-        me
-    }
-
-    fn sums(&self, idx: &[usize]) -> (f64, f64) {
-        let mut g = 0.0;
-        let mut h = 0.0;
-        for &i in idx {
-            g += self.grad[i];
-            h += self.hess[i];
-        }
-        (g, h)
-    }
-
-    fn best_split(&mut self, idx: &[usize], g_all: f64, h_all: f64) -> Option<(usize, f64)> {
-        let lambda = self.cfg.lambda;
-        let parent_score = g_all * g_all / (h_all + lambda);
-        let min_leaf = self.cfg.min_samples_leaf;
-        let mut best_gain = self.cfg.min_gain;
-        let mut best = None;
-        for f in 0..self.x.cols() {
-            self.scratch.clear();
-            for &i in idx {
-                self.scratch
-                    .push((self.x.get(i, f), self.grad[i], self.hess[i]));
-            }
-            self.scratch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            let n = self.scratch.len();
-            let mut g_l = 0.0;
-            let mut h_l = 0.0;
-            for s in 0..n - 1 {
-                let (v, gi, hi) = self.scratch[s];
-                g_l += gi;
-                h_l += hi;
-                let v_next = self.scratch[s + 1].0;
-                if v == v_next {
-                    continue;
-                }
-                let count_left = s + 1;
-                if count_left < min_leaf || n - count_left < min_leaf {
-                    continue;
-                }
-                let g_r = g_all - g_l;
-                let h_r = h_all - h_l;
-                let gain = g_l * g_l / (h_l + lambda) + g_r * g_r / (h_r + lambda) - parent_score;
-                if gain > best_gain {
-                    best_gain = gain;
-                    best = Some((f, crate::tree_util::midpoint(v, v_next)));
-                }
-            }
-        }
-        best
-    }
-}
-
-/// Histogram-path builder: bins hold (gradient, hessian, count) sums.
-/// The regression tree never sub-samples features, so sibling
-/// subtraction is always valid.
-struct RegHistBuilder<'a> {
-    bins: &'a BinIndex,
-    grad: &'a [f64],
-    hess: &'a [f64],
-    cfg: &'a RegTreeConfig,
-    layout: HistLayout,
-    nodes: Vec<FlatNode>,
-    pool: &'a mut Vec<Vec<BinStat>>,
-}
-
-impl<'a> RegHistBuilder<'a> {
-    fn alloc_hist(&mut self) -> Vec<BinStat> {
-        let mut h = self.pool.pop().unwrap_or_default();
-        h.resize(self.layout.total(), BinStat::default());
-        h
-    }
-
-    fn free_hist(&mut self, h: Vec<BinStat>) {
-        self.pool.push(h);
-    }
-
-    fn leaf(&mut self, g: f64, h: f64) -> u32 {
-        let value = -g / (h + self.cfg.lambda);
-        self.nodes.push(FlatNode::leaf(value));
-        (self.nodes.len() - 1) as u32
-    }
-
-    fn surely_leaf(&self, depth: usize, n: usize) -> bool {
-        depth >= self.cfg.max_depth || n < self.cfg.min_samples_split
-    }
-
-    fn build(&mut self, rows: &mut [u32], depth: usize, hist_in: Option<Vec<BinStat>>) -> u32 {
-        let mut g = 0.0;
-        let mut h = 0.0;
-        for &r in rows.iter() {
-            g += self.grad[r as usize];
-            h += self.hess[r as usize];
-        }
-        if depth >= self.cfg.max_depth
-            || rows.len() < self.cfg.min_samples_split
-            || (depth > 0 && spe_runtime::budget_exceeded())
-        {
-            if let Some(hist) = hist_in {
-                self.free_hist(hist);
-            }
-            return self.leaf(g, h);
-        }
-
-        let hist = match hist_in {
-            Some(hb) => hb,
-            None => {
-                let mut hb = self.alloc_hist();
-                histogram::accumulate(self.bins, rows, self.grad, self.hess, &self.layout, &mut hb);
-                hb
-            }
-        };
-        let Some((feature, bin)) = self.best_split(&hist, rows.len(), g, h) else {
-            self.free_hist(hist);
-            return self.leaf(g, h);
-        };
-
-        let codes = self.bins.feature_codes(feature);
-        let split_bin = bin as u8;
-        let mid = crate::tree_util::partition(rows, |&r| codes[r as usize] <= split_bin);
-        if mid == 0 || mid == rows.len() {
-            self.free_hist(hist);
-            return self.leaf(g, h);
-        }
-
-        self.nodes.push(FlatNode::leaf(0.0));
-        let me = (self.nodes.len() - 1) as u32;
-        let (lrows, rrows) = rows.split_at_mut(mid);
-
-        let need_children =
-            !self.surely_leaf(depth + 1, lrows.len()) || !self.surely_leaf(depth + 1, rrows.len());
-        let (lh, rh) = if need_children {
-            let mut parent = hist;
-            let mut child = self.alloc_hist();
-            let (small, child_is_left) = if lrows.len() <= rrows.len() {
-                (&*lrows, true)
-            } else {
-                (&*rrows, false)
-            };
-            histogram::accumulate(
-                self.bins,
-                small,
-                self.grad,
-                self.hess,
-                &self.layout,
-                &mut child,
-            );
-            histogram::subtract(&mut parent, &child);
-            if child_is_left {
-                (Some(child), Some(parent))
-            } else {
-                (Some(parent), Some(child))
-            }
-        } else {
-            self.free_hist(hist);
-            (None, None)
-        };
-
-        let left = self.build(lrows, depth + 1, lh);
-        let right = self.build(rrows, depth + 1, rh);
-        self.nodes[me as usize] = FlatNode {
-            feature: feature as u32,
-            left,
-            right,
-            value: self.bins.cut(feature, bin),
-        };
-        me
-    }
-
-    fn best_split(
-        &self,
-        hist: &[BinStat],
-        n_node: usize,
-        g_all: f64,
-        h_all: f64,
-    ) -> Option<(usize, usize)> {
-        let lambda = self.cfg.lambda;
-        let parent_score = g_all * g_all / (h_all + lambda);
-        let min_leaf = self.cfg.min_samples_leaf;
-        let mut best_gain = self.cfg.min_gain;
-        let mut best = None;
-        for f in 0..self.bins.n_features() {
-            let stats = &hist[self.layout.feature_range(f)];
-            let mut g_l = 0.0;
-            let mut h_l = 0.0;
-            let mut n_left = 0usize;
-            for (b, s) in stats.iter().enumerate().take(stats.len().saturating_sub(1)) {
-                g_l += s.a;
-                h_l += s.b;
-                n_left += s.n as usize;
-                let n_right = n_node - n_left;
-                if n_left == 0 || n_right == 0 {
-                    continue;
-                }
-                if n_left < min_leaf || n_right < min_leaf {
-                    continue;
-                }
-                let g_r = g_all - g_l;
-                let h_r = h_all - h_l;
-                let gain = g_l * g_l / (h_l + lambda) + g_r * g_r / (h_r + lambda) - parent_score;
-                if gain > best_gain {
-                    best_gain = gain;
-                    best = Some((f, b));
-                }
-            }
-        }
-        best
+    pub fn node(&self, i: usize) -> NodeView {
+        self.arena.node(i)
     }
 }
 

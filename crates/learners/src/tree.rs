@@ -17,19 +17,19 @@
 //!   and ensembles can share one index across all members via
 //!   [`BinnedLearner`].
 //!
-//! The trained tree is a flat arena of 24-byte nodes (leaf flag folded
-//! into the feature id, threshold and leaf probability sharing one
-//! slot), so `predict_proba` walks a contiguous `Vec` with no pointer
-//! chasing.
+//! Both engines and the flat node arena (with its decoder) are shared
+//! with GBDT's regression trees. This module supplies CART's criterion
+//! (weighted Gini or entropy decrease, with the positive fraction as the
+//! leaf value) and the learner configuration.
 
-use crate::histogram::{self, BinStat, HistLayout};
+use crate::grow::{self, Arena, Criterion, Limits};
 use crate::persist::ModelSnapshot;
 use crate::traits::{
-    check_fit_inputs, effective_weights, BinRequest, BinnedLearner, BinnedProblem, ConstantModel,
+    check_fit_inputs, validate_fit_inputs, BinRequest, BinnedLearner, BinnedProblem, ConstantModel,
     FeatureBound, Learner, Model,
 };
-use crate::tree_util::{midpoint, partition};
-use spe_data::{BinIndex, Matrix, MatrixView, SeededRng};
+use spe_data::binning::MAX_BINS;
+use spe_data::{BinIndex, Matrix, MatrixView, SpeError};
 use std::cell::Cell;
 
 /// Split quality criterion.
@@ -164,88 +164,6 @@ impl DecisionTreeConfig {
     }
 }
 
-/// Sentinel feature id marking a leaf node.
-const LEAF: u32 = u32::MAX;
-
-/// One arena node: 24 bytes, no enum discriminant. `feature == LEAF`
-/// marks a leaf, in which case `value` is the positive-class probability
-/// and the child indices are unused; otherwise `value` is the split
-/// threshold (`<=` goes left).
-#[derive(Clone, Copy, Debug)]
-struct FlatNode {
-    feature: u32,
-    left: u32,
-    right: u32,
-    value: f64,
-}
-
-serde::impl_serde!(FlatNode {
-    feature,
-    left,
-    right,
-    value
-});
-
-impl FlatNode {
-    #[inline]
-    fn leaf(proba: f64) -> Self {
-        Self {
-            feature: LEAF,
-            left: 0,
-            right: 0,
-            value: proba,
-        }
-    }
-}
-
-/// A trained decision tree (flat node arena; root at index 0).
-#[derive(Clone)]
-pub struct TreeModel {
-    nodes: Vec<FlatNode>,
-}
-
-impl serde::Serialize for TreeModel {
-    fn serialize(&self, w: &mut serde::Writer) {
-        serde::Serialize::serialize(&self.nodes, w);
-    }
-}
-
-impl serde::Deserialize for TreeModel {
-    /// Decodes and structurally validates the arena: both builders push
-    /// a split node before its children, so `left`/`right` must point
-    /// strictly forward. Enforcing that on decode means a decoded tree
-    /// can never loop or index outside the arena during prediction.
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::DecodeError> {
-        let nodes = <Vec<FlatNode> as serde::Deserialize>::deserialize(r)?;
-        validate_arena(&nodes).map_err(serde::DecodeError::Invalid)?;
-        Ok(Self { nodes })
-    }
-}
-
-/// Checks the parent-before-child invariant of a flat tree arena: the
-/// builders push a split node before its subtrees, so child indices
-/// point strictly forward. [`crate::regtree::RegTree`] performs the same
-/// check on its own (structurally identical) node type.
-fn validate_arena(nodes: &[FlatNode]) -> Result<(), String> {
-    if nodes.is_empty() {
-        return Err("empty tree arena".into());
-    }
-    let n = nodes.len() as u32;
-    for (i, node) in nodes.iter().enumerate() {
-        if node.feature == LEAF {
-            continue;
-        }
-        let i = i as u32;
-        if node.left <= i || node.right <= i || node.left >= n || node.right >= n {
-            return Err(format!(
-                "tree node {i} has out-of-order children ({}, {})",
-                node.left, node.right
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Read-only view of one flat-arena tree node, for consumers that
 /// re-compile trees into other layouts (the serving-side quantized
 /// kernel) without exposing the private arena representation.
@@ -273,40 +191,30 @@ pub enum NodeView {
     },
 }
 
+/// A trained decision tree (flat node arena; root at index 0). Leaves
+/// hold the positive-class probability.
+#[derive(Clone)]
+pub struct TreeModel {
+    arena: Arena,
+}
+
+serde::impl_serde!(TreeModel { arena });
+
 impl TreeModel {
     /// Probability of the positive class for one sample.
     #[inline]
     pub fn predict_one(&self, row: &[f64]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            let n = self.nodes[i];
-            if n.feature == LEAF {
-                return n.value;
-            }
-            i = if row[n.feature as usize] <= n.value {
-                n.left as usize
-            } else {
-                n.right as usize
-            };
-        }
+        self.arena.predict_one(row)
     }
 
     /// Number of nodes (diagnostic).
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.arena.n_nodes()
     }
 
     /// Maximum depth actually reached (diagnostic).
     pub fn depth(&self) -> usize {
-        fn go(nodes: &[FlatNode], i: usize) -> usize {
-            let n = nodes[i];
-            if n.feature == LEAF {
-                0
-            } else {
-                1 + go(nodes, n.left as usize).max(go(nodes, n.right as usize))
-            }
-        }
-        go(&self.nodes, 0)
+        self.arena.depth()
     }
 
     /// Read-only view of arena node `i` (root at 0).
@@ -314,17 +222,7 @@ impl TreeModel {
     /// # Panics
     /// Panics if `i >= self.n_nodes()`.
     pub fn node(&self, i: usize) -> NodeView {
-        let n = self.nodes[i];
-        if n.feature == LEAF {
-            NodeView::Leaf { value: n.value }
-        } else {
-            NodeView::Split {
-                feature: n.feature as usize,
-                threshold: n.value,
-                left: n.left as usize,
-                right: n.right as usize,
-            }
-        }
+        self.arena.node(i)
     }
 }
 
@@ -345,485 +243,114 @@ impl Model for TreeModel {
     }
 
     fn feature_bound(&self) -> FeatureBound {
-        FeatureBound::AtLeast(
-            self.nodes
-                .iter()
-                .filter(|n| n.feature != LEAF)
-                .map(|n| n.feature as usize + 1)
-                .max()
-                .unwrap_or(0),
-        )
+        FeatureBound::AtLeast(self.arena.required_features())
     }
 }
 
-/// Reusable per-fit working memory, kept in a thread-local so repeated
-/// `fit` calls on one thread (ensemble members, boosting rounds) stop
-/// re-allocating their sort buffers, index vectors and histogram pool.
-#[derive(Default)]
-pub(crate) struct TreeScratch {
-    /// Exact path: (value, weight-like, second weight-like) sort buffer.
-    pub sorted: Vec<(f64, f64, f64)>,
-    /// Exact path: sample-index buffer partitioned in place.
-    pub idx: Vec<usize>,
-    /// Histogram path: row-index buffer partitioned in place.
-    pub rows: Vec<u32>,
-    /// Histogram path: recycled full-layout histogram buffers.
-    pub hist_pool: Vec<Vec<BinStat>>,
-    /// Histogram path: per-row first accumulated quantity.
-    pub wa: Vec<f64>,
-    /// Histogram path: per-row second accumulated quantity.
-    pub wb: Vec<f64>,
+/// CART's criterion over a node's weight `w` and weighted positives
+/// `w_pos`: impurity decrease, with the positive fraction as leaf value.
+struct Impurity {
+    criterion: SplitCriterion,
+    min_decrease: f64,
+}
+
+impl Criterion for Impurity {
+    fn node_score(&self, w: f64, w_pos: f64) -> f64 {
+        let p = if w > 0.0 { w_pos / w } else { 0.0 };
+        self.criterion.impurity(p)
+    }
+
+    fn is_final(&self, w: f64, impurity: f64) -> bool {
+        impurity == 0.0 || w <= 0.0
+    }
+
+    fn gain(
+        &self,
+        (w_left, w_pos_left): (f64, f64),
+        (w, w_pos): (f64, f64),
+        impurity: f64,
+    ) -> Option<f64> {
+        let w_right = w - w_left;
+        if w_left <= 0.0 || w_right <= 0.0 {
+            return None;
+        }
+        let p_l = w_pos_left / w_left;
+        let p_r = (w_pos - w_pos_left) / w_right;
+        let child_imp =
+            (w_left * self.criterion.impurity(p_l) + w_right * self.criterion.impurity(p_r)) / w;
+        Some(impurity - child_imp)
+    }
+
+    /// Like scikit-learn, a split is admissible when its impurity
+    /// decrease is >= the configured minimum; with the default of 0
+    /// this allows zero-gain splits (necessary for XOR-like data, where
+    /// every first split has zero gain).
+    fn admits(&self, gain: f64) -> bool {
+        gain >= self.min_decrease - 1e-15
+    }
+
+    fn leaf(&self, w: f64, w_pos: f64) -> f64 {
+        if w > 0.0 {
+            w_pos / w
+        } else {
+            0.5
+        }
+    }
 }
 
 thread_local! {
-    static SCRATCH: Cell<TreeScratch> = Cell::new(TreeScratch::default());
-}
-
-/// Runs `f` with this thread's [`TreeScratch`], restoring it (with any
-/// grown capacity) afterwards. A panic inside `f` loses the buffers —
-/// the next fit simply starts from empty ones.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut TreeScratch) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let mut s = cell.take();
-        let r = f(&mut s);
-        cell.set(s);
-        r
-    })
-}
-
-struct BestSplit {
-    feature: usize,
-    threshold: f64,
-    gain: f64,
-}
-
-struct Builder<'a> {
-    x: &'a Matrix,
-    y: &'a [u8],
-    w: &'a [f64],
-    cfg: &'a DecisionTreeConfig,
-    rng: SeededRng,
-    nodes: Vec<FlatNode>,
-    /// Scratch: (value, weight, weighted positive indicator) sorted per feature.
-    scratch: &'a mut Vec<(f64, f64, f64)>,
-}
-
-impl<'a> Builder<'a> {
-    fn leaf(&mut self, w_pos: f64, w_total: f64) -> u32 {
-        let proba = if w_total > 0.0 { w_pos / w_total } else { 0.5 };
-        self.nodes.push(FlatNode::leaf(proba));
-        (self.nodes.len() - 1) as u32
-    }
-
-    /// Builds the subtree over `idx` at the given depth, returning its
-    /// node index.
-    fn build(&mut self, idx: &mut [usize], depth: usize) -> u32 {
-        let (w_pos, w_total) = self.node_weights(idx);
-        let p = if w_total > 0.0 { w_pos / w_total } else { 0.0 };
-        let node_impurity = self.cfg.criterion.impurity(p);
-
-        // The budget check makes deep builds interruptible: once the
-        // installed wall-clock deadline passes, every pending subtree
-        // terminates as a (valid) leaf instead of splitting further.
-        let stop = depth >= self.cfg.max_depth
-            || idx.len() < self.cfg.min_samples_split
-            || node_impurity == 0.0
-            || w_total <= 0.0
-            || (depth > 0 && spe_runtime::budget_exceeded());
-        if stop {
-            return self.leaf(w_pos, w_total);
-        }
-
-        let Some(best) = self.best_split(idx, node_impurity, w_total) else {
-            return self.leaf(w_pos, w_total);
-        };
-
-        // Partition indices in place around the threshold.
-        let mid = partition(idx, |&i| self.x.get(i, best.feature) <= best.threshold);
-        if mid == 0 || mid == idx.len() {
-            // Numeric degeneracy (shouldn't happen with midpoint
-            // thresholds, but guard anyway).
-            return self.leaf(w_pos, w_total);
-        }
-
-        // Reserve the split node, then build children.
-        self.nodes.push(FlatNode::leaf(0.0));
-        let me = (self.nodes.len() - 1) as u32;
-        let (li, ri) = idx.split_at_mut(mid);
-        let left = self.build(li, depth + 1);
-        let right = self.build(ri, depth + 1);
-        self.nodes[me as usize] = FlatNode {
-            feature: best.feature as u32,
-            left,
-            right,
-            value: best.threshold,
-        };
-        me
-    }
-
-    fn node_weights(&self, idx: &[usize]) -> (f64, f64) {
-        let mut w_pos = 0.0;
-        let mut w_total = 0.0;
-        for &i in idx {
-            w_total += self.w[i];
-            if self.y[i] != 0 {
-                w_pos += self.w[i];
-            }
-        }
-        (w_pos, w_total)
-    }
-
-    fn best_split(&mut self, idx: &[usize], node_impurity: f64, w_total: f64) -> Option<BestSplit> {
-        let d = self.x.cols();
-        // Feature sub-sampling allocates per node (the rng hands back a
-        // vector); the common full-feature case iterates 0..d directly.
-        let sampled: Option<Vec<usize>> = match self.cfg.max_features {
-            Some(m) if m < d => Some(self.rng.sample_indices(d, m)),
-            _ => None,
-        };
-        let mut best: Option<BestSplit> = None;
-        let (w_pos_all, _) = self.node_weights(idx);
-        match &sampled {
-            Some(fs) => {
-                for &f in fs {
-                    self.scan_feature(f, idx, node_impurity, w_total, w_pos_all, &mut best);
-                }
-            }
-            None => {
-                for f in 0..d {
-                    self.scan_feature(f, idx, node_impurity, w_total, w_pos_all, &mut best);
-                }
-            }
-        }
-        best
-    }
-
-    fn scan_feature(
-        &mut self,
-        f: usize,
-        idx: &[usize],
-        node_impurity: f64,
-        w_total: f64,
-        w_pos_all: f64,
-        best: &mut Option<BestSplit>,
-    ) {
-        let min_leaf = self.cfg.min_samples_leaf;
-        // Gather and sort this node's samples by feature value.
-        self.scratch.clear();
-        for &i in idx {
-            let pos_w = if self.y[i] != 0 { self.w[i] } else { 0.0 };
-            self.scratch.push((self.x.get(i, f), self.w[i], pos_w));
-        }
-        self.scratch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-
-        let mut w_left = 0.0;
-        let mut w_pos_left = 0.0;
-        let n = self.scratch.len();
-        for s in 0..n - 1 {
-            let (v, wi, pi) = self.scratch[s];
-            w_left += wi;
-            w_pos_left += pi;
-            let v_next = self.scratch[s + 1].0;
-            if v == v_next {
-                continue; // can't split between equal values
-            }
-            let count_left = s + 1;
-            if count_left < min_leaf || n - count_left < min_leaf {
-                continue;
-            }
-            let w_right = w_total - w_left;
-            if w_left <= 0.0 || w_right <= 0.0 {
-                continue;
-            }
-            let p_l = w_pos_left / w_left;
-            let p_r = (w_pos_all - w_pos_left) / w_right;
-            let child_imp = (w_left * self.cfg.criterion.impurity(p_l)
-                + w_right * self.cfg.criterion.impurity(p_r))
-                / w_total;
-            // Like scikit-learn, a split is admissible when its
-            // impurity decrease is >= the configured minimum; with the
-            // default of 0 this allows zero-gain splits (necessary for
-            // XOR-like data, where every first split has zero gain).
-            let gain = node_impurity - child_imp;
-            if gain >= self.cfg.min_impurity_decrease - 1e-15
-                && best.as_ref().is_none_or(|b| gain > b.gain)
-            {
-                *best = Some(BestSplit {
-                    feature: f,
-                    threshold: midpoint(v, v_next),
-                    gain,
-                });
-            }
-        }
-    }
-}
-
-struct BestHistSplit {
-    feature: usize,
-    bin: usize,
-    gain: f64,
-}
-
-/// Histogram-path tree builder over a shared [`BinIndex`].
-struct HistBuilder<'a> {
-    bins: &'a BinIndex,
-    /// Per-row sample weight (indexed by bin-index row id).
-    wa: &'a [f64],
-    /// Per-row weighted positive indicator.
-    wb: &'a [f64],
-    cfg: &'a DecisionTreeConfig,
-    rng: SeededRng,
-    layout: HistLayout,
-    nodes: Vec<FlatNode>,
-    /// Recycled full-layout histogram buffers (thread-local pool).
-    pool: &'a mut Vec<Vec<BinStat>>,
-    /// Scratch for single-feature histograms in sampled mode.
-    feat_hist: Vec<BinStat>,
-}
-
-impl<'a> HistBuilder<'a> {
-    /// True when every feature is a candidate at every node — the
-    /// precondition for sibling subtraction (with per-node feature
-    /// sampling the candidate sets differ between parent and child, so
-    /// each node accumulates only its own sampled features instead).
-    fn full_features(&self) -> bool {
-        self.cfg
-            .max_features
-            .is_none_or(|m| m >= self.bins.n_features())
-    }
-
-    fn alloc_hist(&mut self) -> Vec<BinStat> {
-        let mut h = self.pool.pop().unwrap_or_default();
-        h.resize(self.layout.total(), BinStat::default());
-        h
-    }
-
-    fn free_hist(&mut self, h: Vec<BinStat>) {
-        self.pool.push(h);
-    }
-
-    fn push_leaf(&mut self, w_pos: f64, w_total: f64) -> u32 {
-        let proba = if w_total > 0.0 { w_pos / w_total } else { 0.5 };
-        self.nodes.push(FlatNode::leaf(proba));
-        (self.nodes.len() - 1) as u32
-    }
-
-    /// True when a child with `n` rows at `depth` cannot split, so
-    /// computing its histogram would be wasted work.
-    fn surely_leaf(&self, depth: usize, n: usize) -> bool {
-        depth >= self.cfg.max_depth || n < self.cfg.min_samples_split
-    }
-
-    /// Builds the subtree over `rows`; `hist_in`, when present, is this
-    /// node's pre-computed histogram (from sibling subtraction).
-    fn build(&mut self, rows: &mut [u32], depth: usize, hist_in: Option<Vec<BinStat>>) -> u32 {
-        let mut w_pos = 0.0;
-        let mut w_total = 0.0;
-        for &r in rows.iter() {
-            w_total += self.wa[r as usize];
-            w_pos += self.wb[r as usize];
-        }
-        let p = if w_total > 0.0 { w_pos / w_total } else { 0.0 };
-        let node_impurity = self.cfg.criterion.impurity(p);
-
-        // Same stop set as the exact engine, including the cooperative
-        // wall-clock budget check.
-        let stop = depth >= self.cfg.max_depth
-            || rows.len() < self.cfg.min_samples_split
-            || node_impurity == 0.0
-            || w_total <= 0.0
-            || (depth > 0 && spe_runtime::budget_exceeded());
-        if stop {
-            if let Some(h) = hist_in {
-                self.free_hist(h);
-            }
-            return self.push_leaf(w_pos, w_total);
-        }
-
-        let (best, hist) = if self.full_features() {
-            let hist = match hist_in {
-                Some(h) => h,
-                None => {
-                    let mut h = self.alloc_hist();
-                    histogram::accumulate(self.bins, rows, self.wa, self.wb, &self.layout, &mut h);
-                    h
-                }
-            };
-            let best = self.best_split_full(&hist, rows.len(), node_impurity, w_total, w_pos);
-            (best, Some(hist))
-        } else {
-            debug_assert!(hist_in.is_none());
-            let best = self.best_split_sampled(rows, node_impurity, w_total, w_pos);
-            (best, None)
-        };
-
-        let Some(best) = best else {
-            if let Some(h) = hist {
-                self.free_hist(h);
-            }
-            return self.push_leaf(w_pos, w_total);
-        };
-
-        // Partition rows by bin code; by the bin/cut invariant this is
-        // exactly `value <= threshold` for every finite feature value.
-        let codes = self.bins.feature_codes(best.feature);
-        let split_bin = best.bin as u8;
-        let mid = partition(rows, |&r| codes[r as usize] <= split_bin);
-        if mid == 0 || mid == rows.len() {
-            if let Some(h) = hist {
-                self.free_hist(h);
-            }
-            return self.push_leaf(w_pos, w_total);
-        }
-
-        self.nodes.push(FlatNode::leaf(0.0));
-        let me = (self.nodes.len() - 1) as u32;
-        let (lrows, rrows) = rows.split_at_mut(mid);
-
-        // Derive child histograms: accumulate the smaller side, get the
-        // sibling by subtracting it from the parent in place.
-        let need_children =
-            !self.surely_leaf(depth + 1, lrows.len()) || !self.surely_leaf(depth + 1, rrows.len());
-        let (lh, rh) = match hist {
-            Some(mut parent) if need_children => {
-                let mut child = self.alloc_hist();
-                let (small, child_is_left) = if lrows.len() <= rrows.len() {
-                    (&*lrows, true)
-                } else {
-                    (&*rrows, false)
-                };
-                histogram::accumulate(self.bins, small, self.wa, self.wb, &self.layout, &mut child);
-                histogram::subtract(&mut parent, &child);
-                if child_is_left {
-                    (Some(child), Some(parent))
-                } else {
-                    (Some(parent), Some(child))
-                }
-            }
-            Some(parent) => {
-                self.free_hist(parent);
-                (None, None)
-            }
-            None => (None, None),
-        };
-
-        let left = self.build(lrows, depth + 1, lh);
-        let right = self.build(rrows, depth + 1, rh);
-        self.nodes[me as usize] = FlatNode {
-            feature: best.feature as u32,
-            left,
-            right,
-            value: self.bins.cut(best.feature, best.bin),
-        };
-        me
-    }
-
-    fn best_split_full(
-        &mut self,
-        hist: &[BinStat],
-        n_node: usize,
-        node_impurity: f64,
-        w_total: f64,
-        w_pos_all: f64,
-    ) -> Option<BestHistSplit> {
-        let mut best: Option<BestHistSplit> = None;
-        for f in 0..self.bins.n_features() {
-            let stats = &hist[self.layout.feature_range(f)];
-            if let Some((bin, gain)) =
-                self.scan_bins(stats, n_node, node_impurity, w_total, w_pos_all)
-            {
-                if best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(BestHistSplit {
-                        feature: f,
-                        bin,
-                        gain,
-                    });
-                }
-            }
-        }
-        best
-    }
-
-    fn best_split_sampled(
-        &mut self,
-        rows: &[u32],
-        node_impurity: f64,
-        w_total: f64,
-        w_pos_all: f64,
-    ) -> Option<BestHistSplit> {
-        let d = self.bins.n_features();
-        let m = self.cfg.max_features.unwrap_or(d).min(d);
-        let features = self.rng.sample_indices(d, m);
-        let mut best: Option<BestHistSplit> = None;
-        let mut feat_hist = std::mem::take(&mut self.feat_hist);
-        for f in features {
-            feat_hist.clear();
-            feat_hist.resize(self.bins.n_bins(f), BinStat::default());
-            histogram::accumulate_feature(self.bins, rows, self.wa, self.wb, f, &mut feat_hist);
-            if let Some((bin, gain)) =
-                self.scan_bins(&feat_hist, rows.len(), node_impurity, w_total, w_pos_all)
-            {
-                if best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(BestHistSplit {
-                        feature: f,
-                        bin,
-                        gain,
-                    });
-                }
-            }
-        }
-        self.feat_hist = feat_hist;
-        best
-    }
-
-    /// Scans one feature's bin prefixes; returns the best (bin, gain).
-    /// Mirrors the exact engine's admissibility rules: `min_samples_leaf`
-    /// on both sides, positive weight on both sides, and a gain at least
-    /// `min_impurity_decrease` (first strict maximum wins ties).
-    fn scan_bins(
-        &self,
-        stats: &[BinStat],
-        n_node: usize,
-        node_impurity: f64,
-        w_total: f64,
-        w_pos_all: f64,
-    ) -> Option<(usize, f64)> {
-        let min_leaf = self.cfg.min_samples_leaf;
-        let mut best: Option<(usize, f64)> = None;
-        let mut w_left = 0.0;
-        let mut w_pos_left = 0.0;
-        let mut n_left = 0usize;
-        for (b, s) in stats.iter().enumerate().take(stats.len().saturating_sub(1)) {
-            w_left += s.a;
-            w_pos_left += s.b;
-            n_left += s.n as usize;
-            let n_right = n_node - n_left;
-            if n_left == 0 || n_right == 0 {
-                continue; // threshold separates nothing
-            }
-            if n_left < min_leaf || n_right < min_leaf {
-                continue;
-            }
-            let w_right = w_total - w_left;
-            if w_left <= 0.0 || w_right <= 0.0 {
-                continue;
-            }
-            let p_l = w_pos_left / w_left;
-            let p_r = (w_pos_all - w_pos_left) / w_right;
-            let child_imp = (w_left * self.cfg.criterion.impurity(p_l)
-                + w_right * self.cfg.criterion.impurity(p_r))
-                / w_total;
-            let gain = node_impurity - child_imp;
-            if gain >= self.cfg.min_impurity_decrease - 1e-15 && best.is_none_or(|(_, g)| gain > g)
-            {
-                best = Some((b, gain));
-            }
-        }
-        best
-    }
+    /// Per-row weights and weighted positives, reused across fits.
+    static SUMS: Cell<(Vec<f64>, Vec<f64>)> = Cell::default();
 }
 
 impl DecisionTreeConfig {
+    /// Grows one tree with `grow` over this thread's per-row sums: each
+    /// row's weight (`unit` when unweighted) and its weight again when
+    /// the row is positive, 0 otherwise. `y` and `weights` cover every
+    /// row the grower may visit.
+    ///
+    /// The unit is a per-engine constant. Gains and leaf probabilities
+    /// are ratios of these sums, so it picks no different split in exact
+    /// arithmetic, but it moves their rounding. The exact engine has
+    /// always weighed a row `1/n` and the histogram engine `1`, so each
+    /// keeps its own unit and every trained model stays byte-identical.
+    fn grow_on_sums(
+        &self,
+        y: &[u8],
+        weights: Option<&[f64]>,
+        unit: f64,
+        grow: impl FnOnce(&[f64], &[f64], &Impurity, &Limits) -> Arena,
+    ) -> Box<dyn Model> {
+        let crit = Impurity {
+            criterion: self.criterion,
+            min_decrease: self.min_impurity_decrease,
+        };
+        let limits = Limits {
+            max_depth: self.max_depth,
+            min_samples_split: self.min_samples_split,
+            min_samples_leaf: self.min_samples_leaf,
+            max_features: self.max_features,
+        };
+        let arena = SUMS.with(|cell| {
+            let (mut w, mut w_pos) = cell.take();
+            w.clear();
+            match weights {
+                Some(ws) => w.extend_from_slice(ws),
+                None => w.resize(y.len(), unit),
+            }
+            w_pos.clear();
+            w_pos.extend(
+                y.iter()
+                    .zip(&w)
+                    .map(|(&l, &wi)| if l != 0 { wi } else { 0.0 }),
+            );
+            let arena = grow(&w, &w_pos, &crit, &limits);
+            cell.set((w, w_pos));
+            arena
+        });
+        Box::new(TreeModel { arena })
+    }
+
     /// Histogram-path fit over a subset of a pre-built bin index.
     ///
     /// `y` and `weights` cover **all** rows of `bins`; `rows` selects the
@@ -842,45 +369,33 @@ impl DecisionTreeConfig {
             assert_eq!(w.len(), bins.n_rows(), "weight/bin-index length mismatch");
         }
         assert!(!rows.is_empty(), "cannot fit on an empty row subset");
-        let n_pos = rows.iter().filter(|&&r| y[r as usize] != 0).count();
-        if n_pos == 0 || n_pos == rows.len() {
-            return Box::new(ConstantModel(if n_pos == 0 { 0.0 } else { 1.0 }));
+        if let Some(constant) = single_class(rows.iter().map(|&r| y[r as usize])) {
+            return constant;
         }
-
-        let n = bins.n_rows();
-        let nodes = with_scratch(|scratch| {
-            // Per-row accumulated quantities: weight and weighted
-            // positive indicator (leaf probabilities and gains are
-            // ratio-based, so the weight scale is irrelevant).
-            scratch.wa.clear();
-            match weights {
-                Some(w) => scratch.wa.extend_from_slice(w),
-                None => scratch.wa.resize(n, 1.0),
-            }
-            scratch.wb.clear();
-            scratch
-                .wb
-                .extend((0..n).map(|r| if y[r] != 0 { scratch.wa[r] } else { 0.0 }));
-            scratch.rows.clear();
-            scratch.rows.extend_from_slice(rows);
-
-            let mut builder = HistBuilder {
-                bins,
-                wa: &scratch.wa,
-                wb: &scratch.wb,
-                cfg: self,
-                rng: SeededRng::new(seed),
-                layout: HistLayout::new(bins),
-                nodes: Vec::new(),
-                pool: &mut scratch.hist_pool,
-                feat_hist: Vec::new(),
-            };
-            let root = builder.build(&mut scratch.rows, 0, None);
-            debug_assert_eq!(root, 0);
-            builder.nodes
-        });
-        Box::new(TreeModel { nodes })
+        self.grow_on_sums(y, weights, 1.0, |w, w_pos, crit, limits| {
+            grow::histogram(bins, rows.iter().copied(), w, w_pos, crit, limits, seed)
+        })
     }
+}
+
+/// A [`ConstantModel`] when `labels` hold one class only.
+fn single_class(labels: impl ExactSizeIterator<Item = u8>) -> Option<Box<dyn Model>> {
+    let n = labels.len();
+    let n_pos = labels.filter(|&l| l != 0).count();
+    (n_pos == 0 || n_pos == n)
+        .then(|| Box::new(ConstantModel(if n_pos == 0 { 0.0 } else { 1.0 })) as Box<dyn Model>)
+}
+
+/// Rejects a histogram bin budget outside `2..=MAX_BINS` (the range
+/// [`BinIndex::build`] asserts) for learners whose `split_method` can
+/// reach the histogram engine.
+pub(crate) fn check_max_bins(split_method: SplitMethod, max_bins: usize) -> Result<(), SpeError> {
+    if split_method != SplitMethod::Exact && !(2..=MAX_BINS).contains(&max_bins) {
+        return Err(SpeError::InvalidConfig(format!(
+            "max_bins must be in 2..={MAX_BINS}, got {max_bins}"
+        )));
+    }
+    Ok(())
 }
 
 impl Learner for DecisionTreeConfig {
@@ -897,30 +412,25 @@ impl Learner for DecisionTreeConfig {
             let rows: Vec<u32> = (0..y.len() as u32).collect();
             return self.fit_hist(&bins, y, weights, &rows, seed);
         }
-        let w = effective_weights(y.len(), weights);
-        let n_pos = y.iter().filter(|&&l| l != 0).count();
-        if n_pos == 0 || n_pos == y.len() {
-            return Box::new(ConstantModel(if n_pos == 0 { 0.0 } else { 1.0 }));
+        if let Some(constant) = single_class(y.iter().copied()) {
+            return constant;
         }
-        let nodes = with_scratch(|scratch| {
-            let mut builder = Builder {
-                x,
-                y,
-                w: &w,
-                cfg: self,
-                rng: SeededRng::new(seed),
-                nodes: Vec::new(),
-                scratch: &mut scratch.sorted,
-            };
-            scratch.idx.clear();
-            scratch.idx.extend(0..y.len());
-            let root = builder.build(&mut scratch.idx, 0);
-            // Both the leaf and the split path push the root node before
-            // any descendant, so the root always lands at slot 0.
-            debug_assert_eq!(root, 0);
-            builder.nodes
-        });
-        Box::new(TreeModel { nodes })
+        let unit = 1.0 / y.len() as f64;
+        self.grow_on_sums(y, weights, unit, |w, w_pos, crit, limits| {
+            grow::exact(x, w, w_pos, crit, limits, seed)
+        })
+    }
+
+    fn try_fit_weighted(
+        &self,
+        x: &Matrix,
+        y: &[u8],
+        weights: Option<&[f64]>,
+        seed: u64,
+    ) -> Result<Box<dyn Model>, SpeError> {
+        check_max_bins(self.split_method, self.max_bins)?;
+        validate_fit_inputs(x, y, weights)?;
+        Ok(self.fit_weighted(x, y, weights, seed))
     }
 
     fn name(&self) -> &'static str {
@@ -955,6 +465,7 @@ impl BinnedLearner for DecisionTreeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spe_data::SeededRng;
 
     fn xor_data() -> (Matrix, Vec<u8>) {
         // XOR pattern: needs depth >= 2.

@@ -1,4 +1,4 @@
-//! Helpers shared between the classification and regression tree builders.
+//! Helpers for the tree growers in [`crate::grow`].
 
 /// Midpoint that is guaranteed to satisfy `lo <= m < hi` in floating
 /// point (falls back to `lo` when the average rounds up to `hi`).

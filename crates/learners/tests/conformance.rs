@@ -5,7 +5,7 @@
 use spe_data::{Matrix, SeededRng};
 use spe_learners::traits::Learner;
 use spe_learners::{
-    AdaBoostConfig, BaggingConfig, DecisionTreeConfig, GaussianNbConfig, GbdtConfig, KnnConfig,
+    AdaBoostConfig, BaggingConfig, DecisionTreeConfig, GbdtConfig, KnnConfig,
     LogisticRegressionConfig, MlpConfig, RandomForestConfig, SvmConfig,
 };
 
@@ -29,7 +29,6 @@ fn all_learners() -> Vec<(&'static str, Box<dyn Learner>)> {
         ("Bagging", Box::new(BaggingConfig::new(5))),
         ("RF", Box::new(RandomForestConfig::new(5))),
         ("GBDT", Box::new(GbdtConfig::new(5))),
-        ("GaussianNB", Box::new(GaussianNbConfig::default())),
     ]
 }
 

@@ -4,10 +4,8 @@
 //! learning methods". This example implements a from-scratch Gaussian
 //! Naive Bayes classifier, wires it into the `Learner`/`Model` traits,
 //! and lets SPE boost it — no changes to the framework needed.
-//!
-//! (The library also ships a production version of this classifier as
-//! `spe::learners::GaussianNbConfig`; the point here is showing how
-//! little code a new `Learner` takes.)
+//! The library ships no Naive Bayes of its own: the point here is
+//! showing how little code a new `Learner` takes.
 //!
 //! ```sh
 //! cargo run --release --example custom_learner

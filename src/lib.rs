@@ -83,8 +83,8 @@ pub mod prelude {
         BalanceCascade, EasyEnsemble, RusBoost, SmoteBagging, SmoteBoost, UnderBagging,
     };
     pub use spe_learners::{
-        AdaBoostConfig, BaggingConfig, DecisionTreeConfig, GaussianNbConfig, GbdtConfig, KnnConfig,
-        Learner, LogisticRegressionConfig, MlpConfig, Model, ModelSnapshot, OneVsRestModel,
+        AdaBoostConfig, BaggingConfig, DecisionTreeConfig, GbdtConfig, KnnConfig, Learner,
+        LogisticRegressionConfig, MlpConfig, Model, ModelSnapshot, OneVsRestModel,
         RandomForestConfig, SharedLearner, SplitMethod, SvmConfig,
     };
     pub use spe_metrics::{

@@ -1,12 +1,14 @@
-//! Model-byte pins for every fit path.
+//! Model-byte pins for every fit path and every tree-growing learner.
 //!
 //! Each test fits one model and asserts the FNV-1a digest of its
 //! encoded snapshot against a recorded constant. A refactor of the fit
-//! loops (round driver, member slot, row stores) must leave every model
-//! byte-identical, so these constants do not move. A change that alters
-//! models on purpose updates them and says so in CHANGES.md.
+//! loops (round driver, member slot, row stores) or of the tree growers
+//! must leave every model byte-identical, so these constants do not
+//! move. A change that alters models on purpose updates them and says
+//! so in CHANGES.md.
 
 use spe::learners::fault::FaultyLearner;
+use spe::learners::gbdt::EarlyStopping;
 use spe::prelude::*;
 use spe::serve::fnv1a;
 use std::sync::Arc;
@@ -233,4 +235,137 @@ fn thirty_percent_panic_fit() {
         (digest(&model), outcomes.join(" ")),
         (11429044489240889426, "T R2 T T R3 T T T R2 T".to_string())
     );
+}
+
+/// Overlapping classes with a four-valued column, so split scans meet
+/// runs of tied values, plus per-row weights on a 1..4 scale.
+fn tied() -> (Dataset, Vec<f64>) {
+    let mut rng = SeededRng::new(17);
+    let (n_pos, n_neg) = (90, 610);
+    let mut x = Matrix::with_capacity(n_pos + n_neg, 4);
+    let mut y = Vec::with_capacity(n_pos + n_neg);
+    for i in 0..n_pos + n_neg {
+        let label = u8::from(i >= n_neg);
+        let shift = f64::from(label);
+        x.push_row(&[
+            rng.normal(shift, 1.0),
+            rng.below(4) as f64 + shift,
+            rng.normal(0.5 * shift, 1.0),
+            rng.uniform(),
+        ]);
+        y.push(label);
+    }
+    let w = (0..y.len()).map(|_| 1.0 + 3.0 * rng.uniform()).collect();
+    (Dataset::new(x, y), w)
+}
+
+fn fit_tied(learner: &dyn Learner, weighted: bool, seed: u64) -> Box<dyn Model> {
+    let (d, w) = tied();
+    let w = weighted.then_some(w.as_slice());
+    learner
+        .try_fit_weighted(d.x(), d.y(), w, seed)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+#[test]
+fn c45_trees_by_engine_and_weights() {
+    let got: Vec<u64> = [SplitMethod::Exact, SplitMethod::Histogram]
+        .into_iter()
+        .flat_map(|split_method| {
+            let cfg = DecisionTreeConfig {
+                split_method,
+                ..DecisionTreeConfig::c45(10)
+            };
+            [false, true].map(|weighted| digest(fit_tied(&cfg, weighted, 41).as_ref()))
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            3135547061604262118,
+            13770760244773869685,
+            11515669928736219175,
+            14959471437791870203
+        ]
+    );
+}
+
+#[test]
+fn sampled_feature_trees_by_engine() {
+    let got = [SplitMethod::Exact, SplitMethod::Histogram].map(|split_method| {
+        let cfg = DecisionTreeConfig {
+            split_method,
+            max_features: Some(2),
+            min_impurity_decrease: 1e-3,
+            min_samples_leaf: 5,
+            ..DecisionTreeConfig::default()
+        };
+        digest(fit_tied(&cfg, false, 42).as_ref())
+    });
+    assert_eq!(got, [2183856490205314797, 12314411590526443173]);
+}
+
+#[test]
+fn random_forest_by_engine() {
+    let got = [SplitMethod::Exact, SplitMethod::Histogram].map(|split_method| {
+        let cfg = RandomForestConfig {
+            split_method,
+            ..RandomForestConfig::new(5)
+        };
+        digest(fit_tied(&cfg, false, 43).as_ref())
+    });
+    assert_eq!(got, [6510589710651523786, 11121867128525405052]);
+}
+
+#[test]
+fn adaboost_probabilities() {
+    // AdaBoost has no snapshot: pin its probabilities on the training rows.
+    let model = fit_tied(&AdaBoostConfig::new(8), false, 44);
+    let (d, _) = tied();
+    assert_eq!(
+        digest_f64s([&model.predict_proba(d.x())]),
+        4141774776278862510
+    );
+}
+
+#[test]
+fn gbdt_by_engine_and_early_stopping() {
+    let got: Vec<u64> = [SplitMethod::Exact, SplitMethod::Histogram]
+        .into_iter()
+        .flat_map(|split_method| {
+            [
+                None,
+                Some(EarlyStopping {
+                    patience: 2,
+                    fraction: 0.2,
+                }),
+            ]
+            .map(|early_stopping| {
+                let cfg = GbdtConfig {
+                    split_method,
+                    early_stopping,
+                    ..GbdtConfig::new(12)
+                };
+                digest(fit_tied(&cfg, false, 45).as_ref())
+            })
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            12715724744331266861,
+            18174348352135978437,
+            4608945477528211572,
+            10262694655783372239
+        ]
+    );
+}
+
+#[test]
+fn cascade_and_under_bagging() {
+    let got = [
+        digest(fit_tied(&BalanceCascade::new(6), false, 46).as_ref()),
+        digest(fit_tied(&UnderBagging::new(6), false, 47).as_ref()),
+    ];
+    assert_eq!(got, [10584452891826268017, 13601469020094299050]);
 }

@@ -127,3 +127,101 @@ proptest! {
         );
     }
 }
+
+/// Every fallible fit entry point answers a histogram `max_bins` outside
+/// `2..=256` with `InvalidConfig`: no panic escapes, and no member
+/// failure is reported in its place.
+#[test]
+fn out_of_range_max_bins_is_invalid_config_at_every_entry_point() {
+    fn spe(max_bins: usize) -> SelfPacedEnsembleConfig {
+        SelfPacedEnsembleConfig::with_base(
+            4,
+            std::sync::Arc::new(DecisionTreeConfig {
+                max_bins,
+                ..tree(SplitMethod::Histogram)
+            }),
+        )
+    }
+    fn multi(max_bins: usize, strategy: MultiClassStrategy) -> MultiClassSpeConfig {
+        MultiClassSpeConfig {
+            binary: spe(max_bins),
+            strategy,
+            balancing: BalancingSchedule::Uniform,
+        }
+    }
+    type Entry = fn(usize, &Dataset, &Dataset) -> Result<(), SpeError>;
+    let entries: [(&str, Entry); 10] = [
+        ("builder", |b, _, _| {
+            SelfPacedEnsembleBuilder::new()
+                .base(spe(b).base)
+                .build()
+                .map(drop)
+        }),
+        ("in-memory", |b, d, _| {
+            spe(b).try_fit_dataset(d, 1).map(drop)
+        }),
+        ("warm", |b, d, _| {
+            let live = vec![0.5; d.len()];
+            spe(b).try_fit_dataset_warm(d, 1, &live).map(drop)
+        }),
+        ("traced", |b, d, _| {
+            spe(b).try_fit_dataset_traced(d, 1).map(drop)
+        }),
+        ("chunked", |b, d, _| {
+            let mut src = spe::data::DatasetChunks::new(d, 64);
+            spe(b)
+                .try_fit_chunked(&mut src, &ChunkedFitOptions::default(), 1)
+                .map(drop)
+        }),
+        ("native", |b, _, k| {
+            multi(b, MultiClassStrategy::Native)
+                .try_fit_dataset(k, 1)
+                .map(drop)
+        }),
+        ("one-vs-rest", |b, _, k| {
+            multi(b, MultiClassStrategy::OneVsRest)
+                .try_fit_dataset(k, 1)
+                .map(drop)
+        }),
+        ("tree", |b, d, _| {
+            DecisionTreeConfig {
+                max_bins: b,
+                ..tree(SplitMethod::Histogram)
+            }
+            .try_fit(d.x(), d.y(), 1)
+            .map(drop)
+        }),
+        ("forest", |b, d, _| {
+            RandomForestConfig {
+                split_method: SplitMethod::Histogram,
+                max_bins: b,
+                ..RandomForestConfig::new(3)
+            }
+            .try_fit(d.x(), d.y(), 1)
+            .map(drop)
+        }),
+        ("gbdt", |b, d, _| {
+            GbdtConfig {
+                split_method: SplitMethod::Histogram,
+                max_bins: b,
+                ..GbdtConfig::new(3)
+            }
+            .try_fit(d.x(), d.y(), 1)
+            .map(drop)
+        }),
+    ];
+    let (x, y) = integer_grid(300, 4);
+    let data = Dataset::new(x, y);
+    let kway = multiclass_checkerboard(&MultiClassCheckerboardConfig::geometric(3, 200, 2.0), 5);
+    let mut wrong = Vec::new();
+    for max_bins in [1, 300] {
+        for (name, entry) in entries {
+            let got = std::panic::catch_unwind(|| entry(max_bins, &data, &kway));
+            if !matches!(got, Ok(Err(SpeError::InvalidConfig(_)))) {
+                let got = got.map_err(|_| "panicked");
+                wrong.push(format!("{name} with max_bins {max_bins}: {got:?}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
+}
