@@ -21,8 +21,8 @@ cargo test -q --test quantized
 echo "==> cargo test -q --doc"
 cargo test -q --doc
 
-echo "==> cargo bench --no-run (criterion suite compiles)"
-cargo bench --no-run
+echo "==> cargo check --workspace --benches (every criterion bench compiles)"
+cargo check --workspace --benches
 
 echo "==> bench_train --quick (smoke; temp cwd so BENCH_train.json is untouched)"
 cargo build --release -p spe-bench --bin bench_train
@@ -47,11 +47,12 @@ grep -q '"online"' "$online_dir/BENCH_train.json"
 grep -q '"recovery_ms"' "$online_dir/BENCH_train.json"
 rm -rf "$online_dir"
 
-echo "==> spe_benchmark --smoke (builds against this tree; repeated fits byte-identical, traced fits predict the same bits)"
+echo "==> spe_benchmark --smoke (builds against this tree; repeated fits byte-identical, traced fits predict the same bits, every served score matches in-process predict_proba)"
 cargo build --release --offline --manifest-path spe_benchmark/Cargo.toml --bin spe_benchmark
 bench_dir="$(mktemp -d)"
 (cd "$bench_dir" && "$repo_root/spe_benchmark/target/release/spe_benchmark" --smoke --trace 1 \
-    --seconds 1 --workload fit-skewed --workload fit-multiclass --workload fit-oocore)
+    --seconds 1 --workload fit-skewed --workload fit-multiclass --workload fit-oocore \
+    --workload score-small --workload score-bulk)
 rm -rf "$bench_dir"
 
 echo "==> spe_score chunked round trip (CSV stream vs packed shards must fit identical models)"
@@ -157,7 +158,7 @@ rm -rf "$mc_dir"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> CI green"

@@ -154,17 +154,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         quantized_results.push((batch, qsecs, qrps, qrps / rps.max(1e-9)));
     }
 
-    // Submit-path micro-batching: queue rows one by one and let the
-    // scheduler coalesce them, then read its latency percentiles.
+    // Queue path: every row is a one-row job, submitted as fast as the
+    // queue takes them; jobs queued behind a busy kernel pack into
+    // blocks. Then read the scheduler's latency percentiles.
     eprintln!("scoring via submit queue ...");
     let submit_rows = score.len().min(2_000);
+    let deadline = Instant::now() + std::time::Duration::from_secs(60);
     let t0 = Instant::now();
     let mut pending = Vec::with_capacity(submit_rows);
     for i in 0..submit_rows {
         // On QueueFull, do what a real client under backpressure does:
         // back off briefly and retry.
         loop {
-            match engine.submit(score.x().row(i)) {
+            match engine.submit(score.x().row_range(i..i + 1), deadline) {
                 Ok(p) => break pending.push(p),
                 Err(spe_serve::ServeError::QueueFull { .. }) => {
                     std::thread::sleep(std::time::Duration::from_micros(50));

@@ -203,7 +203,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = RegistryConfig::new(n_features);
     config.engine = EngineConfig::builder()
         .max_batch(64)
-        .max_delay(Duration::from_millis(2))
         .queue_capacity(QUEUE_CAPACITY)
         .build()?;
     config.watermark_fraction = WATERMARK_FRACTION;

@@ -103,12 +103,12 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..200 {
             x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(0);
         }
+        y.resize(y.len() + 200, 0);
         for _ in 0..20 {
             x.push_row(&[rng.normal(2.0, 0.5), rng.normal(2.0, 0.5)]);
-            y.push(1);
         }
+        y.resize(y.len() + 20, 1);
         Dataset::new(x, y)
     }
 

@@ -4,7 +4,6 @@ use crate::hardness::HardnessFn;
 use crate::report::FitReport;
 use crate::rounds::{fit_rounds, score_codes, RowStore};
 use crate::sampler::AlphaSchedule;
-use spe_data::binning::MAX_BINS;
 use spe_data::{
     BinIndex, BinaryIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng,
     SpeError,
@@ -13,7 +12,8 @@ use spe_learners::binspace::{BinScorer, CodeView};
 use spe_learners::ensemble::SoftVoteEnsemble;
 use spe_learners::persist::ModelSnapshot;
 use spe_learners::traits::{
-    validate_fit_inputs, BinnedProblem, FeatureBound, Learner, Model, SharedLearner,
+    check_base_bins, validate_fit_inputs, BinnedProblem, FeatureBound, Learner, Model,
+    SharedLearner,
 };
 use spe_learners::DecisionTreeConfig;
 use spe_runtime::{Runtime, TrainingBudget};
@@ -217,16 +217,8 @@ impl SelfPacedEnsembleConfig {
                 self.min_members, self.n_estimators
             )));
         }
-        // `BinIndex::build` and the chunked cut grid assert this range.
-        if let Some(req) = self.base.as_binned().and_then(|bl| bl.bin_request()) {
-            if !(2..=MAX_BINS).contains(&req.max_bins) {
-                return Err(SpeError::InvalidConfig(format!(
-                    "base learner max_bins must be in 2..={MAX_BINS}, got {}",
-                    req.max_bins
-                )));
-            }
-        }
-        Ok(())
+        // `BinIndex::build` and the chunked cut grid assert the range.
+        check_base_bins(self.base.as_ref())
     }
 
     /// Shared entry for cold and warm fits: validates, sanitizes, then
@@ -560,6 +552,10 @@ impl Learner for SelfPacedEnsembleConfig {
     fn name(&self) -> &'static str {
         "SPE"
     }
+
+    fn base(&self) -> Option<&dyn Learner> {
+        Some(self.base.as_ref())
+    }
 }
 
 #[cfg(test)]
@@ -577,12 +573,12 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..n_neg {
             x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(0);
         }
+        y.resize(y.len() + n_neg, 0);
         for _ in 0..n_pos {
             x.push_row(&[rng.normal(1.2, 1.0), rng.normal(1.2, 1.0)]);
-            y.push(1);
         }
+        y.resize(y.len() + n_pos, 1);
         Dataset::new(x, y)
     }
 
@@ -759,7 +755,7 @@ mod tests {
             seed: u64,
         ) -> Box<dyn Model> {
             let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            assert!(call % 2 != 0, "flaky failure on call {call}");
+            assert!(!call.is_multiple_of(2), "flaky failure on call {call}");
             self.inner.fit_weighted(x, y, weights, seed)
         }
         fn name(&self) -> &'static str {

@@ -269,13 +269,13 @@ mod tests {
         let mut post_y = Vec::new();
         let mut seen = 0u64;
         while let Some((x, y)) = s.next_batch() {
-            for r in 0..x.rows() {
+            for (r, &label) in y.iter().enumerate() {
                 if seen < 2_000 {
                     pre_x.push_row(x.row(r));
-                    pre_y.push(y[r]);
+                    pre_y.push(label);
                 } else {
                     post_x.push_row(x.row(r));
-                    post_y.push(y[r]);
+                    post_y.push(label);
                 }
                 seen += 1;
             }

@@ -243,7 +243,7 @@ mod tests {
         assert_eq!(d.n_classes(), 4);
         // With a wide ring and tight components, per-class means are
         // near their centers: class means must be pairwise distant.
-        let mut means = vec![(0.0, 0.0, 0usize); 4];
+        let mut means = [(0.0, 0.0, 0usize); 4];
         for (row, &l) in d.x().iter_rows().zip(d.y()) {
             let m = &mut means[l as usize];
             m.0 += row[0];

@@ -165,6 +165,10 @@ impl Learner for RusBoost {
     fn name(&self) -> &'static str {
         "RUSBoost"
     }
+
+    fn base(&self) -> Option<&dyn Learner> {
+        Some(self.base.as_ref())
+    }
 }
 
 /// SMOTEBoost configuration.
@@ -251,6 +255,10 @@ impl Learner for SmoteBoost {
     fn name(&self) -> &'static str {
         "SMOTEBoost"
     }
+
+    fn base(&self) -> Option<&dyn Learner> {
+        Some(self.base.as_ref())
+    }
 }
 
 #[cfg(test)]
@@ -265,12 +273,12 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..n_neg {
             x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(0);
         }
+        y.resize(y.len() + n_neg, 0);
         for _ in 0..n_pos {
             x.push_row(&[rng.normal(1.5, 1.0), rng.normal(1.5, 1.0)]);
-            y.push(1);
         }
+        y.resize(y.len() + n_pos, 1);
         Dataset::new(x, y)
     }
 

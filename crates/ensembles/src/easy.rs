@@ -113,6 +113,10 @@ impl Learner for UnderBagging {
     fn name(&self) -> &'static str {
         "UnderBagging"
     }
+
+    fn base(&self) -> Option<&dyn Learner> {
+        Some(self.base.as_ref())
+    }
 }
 
 /// EasyEnsemble: UnderBagging with AdaBoost members (`Easy_n` in the
@@ -265,6 +269,10 @@ impl Learner for SmoteBagging {
     fn name(&self) -> &'static str {
         "SMOTEBagging"
     }
+
+    fn base(&self) -> Option<&dyn Learner> {
+        Some(self.base.as_ref())
+    }
 }
 
 #[cfg(test)]
@@ -278,12 +286,12 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..n_neg {
             x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(0);
         }
+        y.resize(y.len() + n_neg, 0);
         for _ in 0..n_pos {
             x.push_row(&[rng.normal(1.5, 1.0), rng.normal(1.5, 1.0)]);
-            y.push(1);
         }
+        y.resize(y.len() + n_pos, 1);
         Dataset::new(x, y)
     }
 

@@ -164,6 +164,10 @@ impl Learner for AdaBoostConfig {
     fn name(&self) -> &'static str {
         "AdaBoost"
     }
+
+    fn base(&self) -> Option<&dyn Learner> {
+        Some(self.base.as_ref())
+    }
 }
 
 fn normalize(w: &mut [f64]) {

@@ -129,6 +129,10 @@ impl Learner for BaggingConfig {
     fn name(&self) -> &'static str {
         "Bagging"
     }
+
+    fn base(&self) -> Option<&dyn Learner> {
+        Some(self.base.as_ref())
+    }
 }
 
 #[cfg(test)]

@@ -307,16 +307,16 @@ mod tests {
                 t.cos() + rng.normal(0.0, 0.1),
                 t.sin() + rng.normal(0.0, 0.1),
             ]);
-            y.push(0);
         }
+        y.resize(y.len() + n_per, 0);
         for _ in 0..n_per {
             let t = rng.range(0.0, std::f64::consts::PI);
             x.push_row(&[
                 1.0 - t.cos() + rng.normal(0.0, 0.1),
                 0.5 - t.sin() + rng.normal(0.0, 0.1),
             ]);
-            y.push(1);
         }
+        y.resize(y.len() + n_per, 1);
         (x, y)
     }
 

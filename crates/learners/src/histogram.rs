@@ -166,9 +166,9 @@ mod tests {
         let mut out = vec![BinStat::default(); layout.total()];
         accumulate(&bins, &rows, &a, &b, &layout, &mut out);
         // Feature 0: values 0,1,2 -> bins 0,1,2 with two rows each.
-        for bin in 0..3 {
-            assert_eq!(out[bin].n, 2, "bin {bin}");
-            assert_eq!(out[bin].a, 2.0);
+        for (bin, stat) in out[..3].iter().enumerate() {
+            assert_eq!(stat.n, 2, "bin {bin}");
+            assert_eq!(stat.a, 2.0);
         }
         assert_eq!(out[1].b, 2.0); // both value-1 rows are positive
                                    // Feature 1: value 5 (3 rows), value 6 (3 rows).

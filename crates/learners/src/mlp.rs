@@ -295,12 +295,12 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..1000 {
             x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(0);
         }
+        y.resize(y.len() + 1000, 0);
         for _ in 0..5 {
             x.push_row(&[rng.normal(0.8, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(1);
         }
+        y.resize(y.len() + 5, 1);
         let cfg = MlpConfig {
             hidden: 16,
             epochs: 40,

@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn binned_min_samples_leaf_enforced() {
         let x = Matrix::from_vec(4, 1, vec![0.0, 1.0, 2.0, 3.0]);
-        let t = vec![10.0, 0.0, 0.0, 0.0];
+        let t = [10.0, 0.0, 0.0, 0.0];
         let grad: Vec<f64> = t.iter().map(|v| -v).collect();
         let hess = vec![1.0; 4];
         let cfg = RegTreeConfig {

@@ -336,14 +336,14 @@ mod tests {
             let a = rng.range(0.0, std::f64::consts::TAU);
             let r = rng.range(0.0, 0.8);
             x.push_row(&[r * a.cos(), r * a.sin()]);
-            y.push(1);
         }
+        y.resize(y.len() + n_per, 1);
         for _ in 0..n_per {
             let a = rng.range(0.0, std::f64::consts::TAU);
             let r = rng.range(2.0, 2.8);
             x.push_row(&[r * a.cos(), r * a.sin()]);
-            y.push(0);
         }
+        y.resize(y.len() + n_per, 0);
         (x, y)
     }
 

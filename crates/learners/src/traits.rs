@@ -1,6 +1,7 @@
 //! The `Learner` / `Model` trait pair every classifier implements.
 
 use crate::persist::ModelSnapshot;
+use spe_data::binning::MAX_BINS;
 use spe_data::{BinIndex, Matrix, MatrixView, SpeError};
 use std::fmt;
 use std::sync::Arc;
@@ -226,8 +227,9 @@ pub trait Learner: Send + Sync {
     /// Fallible counterpart of [`Learner::fit_weighted`]: validates the
     /// inputs and returns [`SpeError`] instead of panicking.
     ///
-    /// The default implementation runs [`validate_fit_inputs`] and then
-    /// delegates to `fit_weighted`; learners with extra preconditions
+    /// The default implementation vets the [`base`](Learner::base)
+    /// learner with [`check_base_bins`], runs [`validate_fit_inputs`] and
+    /// then delegates to `fit_weighted`; learners with extra preconditions
     /// (e.g. SPE's two-class requirement) override it to surface those
     /// as errors too.
     fn try_fit_weighted(
@@ -237,6 +239,9 @@ pub trait Learner: Send + Sync {
         weights: Option<&[f64]>,
         seed: u64,
     ) -> Result<Box<dyn Model>, SpeError> {
+        if let Some(base) = self.base() {
+            check_base_bins(base)?;
+        }
         validate_fit_inputs(x, y, weights)?;
         Ok(self.fit_weighted(x, y, weights, seed))
     }
@@ -257,6 +262,29 @@ pub trait Learner: Send + Sync {
     fn as_binned(&self) -> Option<&dyn BinnedLearner> {
         None
     }
+
+    /// The learner an ensemble trains its members with, for learners
+    /// built over a `base`; `None` (the default) for everything else.
+    fn base(&self) -> Option<&dyn Learner> {
+        None
+    }
+}
+
+/// Rejects a base learner whose histogram bin budget lies outside
+/// `2..=MAX_BINS`, the range [`BinIndex::build`] asserts, and so on down
+/// a chain of nested bases. Every learner built over a `base` runs this
+/// before fitting, so a bad budget is an [`SpeError::InvalidConfig`]
+/// rather than a panic inside a member fit.
+pub fn check_base_bins(base: &dyn Learner) -> Result<(), SpeError> {
+    if let Some(req) = base.as_binned().and_then(|b| b.bin_request()) {
+        if !(2..=MAX_BINS).contains(&req.max_bins) {
+            return Err(SpeError::InvalidConfig(format!(
+                "base learner max_bins must be in 2..={MAX_BINS}, got {}",
+                req.max_bins
+            )));
+        }
+    }
+    base.base().map_or(Ok(()), check_base_bins)
 }
 
 /// Shared, thread-safe handle to a learner configuration.

@@ -240,17 +240,17 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..40 {
             x.push_row(&[rng.normal(-3.0, 0.3), rng.normal(0.0, 0.3)]);
-            y.push(0);
         }
+        y.resize(y.len() + 40, 0);
         for _ in 0..20 {
             x.push_row(&[rng.normal(3.0, 0.3), rng.normal(0.0, 0.3)]);
-            y.push(1);
         }
+        y.resize(y.len() + 20, 1);
         // Majority outliers embedded in the minority cluster.
         for _ in 0..5 {
             x.push_row(&[rng.normal(3.0, 0.1), rng.normal(0.0, 0.1)]);
-            y.push(0);
         }
+        y.resize(y.len() + 5, 0);
         Dataset::new(x, y)
     }
 

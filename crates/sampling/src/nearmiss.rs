@@ -168,16 +168,16 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..10 {
             x.push_row(&[rng.normal(0.0, 0.1), rng.normal(0.0, 0.1)]);
-            y.push(1);
         }
+        y.resize(y.len() + 10, 1);
         for _ in 0..30 {
             x.push_row(&[rng.normal(2.0, 0.1), rng.normal(0.0, 0.1)]);
-            y.push(0); // near majority
         }
+        y.resize(y.len() + 30, 0); // near majority
         for _ in 0..30 {
             x.push_row(&[rng.normal(10.0, 0.1), rng.normal(0.0, 0.1)]);
-            y.push(0); // far majority
         }
+        y.resize(y.len() + 30, 0); // far majority
         Dataset::new(x, y)
     }
 

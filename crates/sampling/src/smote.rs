@@ -299,12 +299,12 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..n_neg {
             x.push_row(&[rng.normal(-2.0, 0.5), rng.normal(0.0, 0.5)]);
-            y.push(0);
         }
+        y.resize(y.len() + n_neg, 0);
         for _ in 0..n_pos {
             x.push_row(&[rng.normal(2.0, 0.5), rng.normal(0.0, 0.5)]);
-            y.push(1);
         }
+        y.resize(y.len() + n_pos, 1);
         Dataset::new(x, y)
     }
 
@@ -351,12 +351,12 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..100 {
             x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(0);
         }
+        y.resize(y.len() + 100, 0);
         for _ in 0..20 {
             x.push_row(&[rng.normal(1.0, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(1);
         }
+        y.resize(y.len() + 20, 1);
         let d = Dataset::new(x, y);
         let r = BorderlineSmote::default().resample(&d, 8);
         assert_eq!(r.n_positive(), 100);
@@ -369,12 +369,12 @@ mod tests {
         let mut y = Vec::new();
         for _ in 0..100 {
             x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(0);
         }
+        y.resize(y.len() + 100, 0);
         for _ in 0..20 {
             x.push_row(&[rng.normal(1.5, 1.0), rng.normal(0.0, 1.0)]);
-            y.push(1);
         }
+        y.resize(y.len() + 20, 1);
         let d = Dataset::new(x, y);
         let r = Adasyn::default().resample(&d, 10);
         // Rounding per-seed counts makes the balance approximate.

@@ -35,12 +35,12 @@ fn imbalanced(n_pos: usize, n_neg: usize, seed: u64) -> Dataset {
     let mut y = Vec::new();
     for _ in 0..n_neg {
         x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-        y.push(0);
     }
+    y.resize(y.len() + n_neg, 0);
     for _ in 0..n_pos {
         x.push_row(&[rng.normal(2.0, 1.0), rng.normal(2.0, 1.0)]);
-        y.push(1);
     }
+    y.resize(y.len() + n_pos, 1);
     Dataset::new(x, y)
 }
 

@@ -1,18 +1,27 @@
-//! Micro-batching scoring engine.
+//! Request-batching scoring engine.
 //!
-//! Single-row scoring of an ensemble is overhead-dominated: every call
-//! pays trait-object dispatch per member plus a handful of short-lived
-//! allocations, and none of it parallelizes. The engine amortizes that
-//! by queueing incoming rows and scoring them in batches — a dedicated
-//! scheduler thread drains the queue whenever `max_batch` rows are
-//! waiting or the oldest row has waited `max_delay`, whichever comes
-//! first. Batches are scored through the model's batch entry point,
-//! which fans out across the shared `spe-runtime` pool.
+//! A scoring request is one *job*: a block of whole rows, submitted
+//! together and answered together. A dedicated scheduler thread runs
+//! the kernel. When it is idle, a new job is dispatched at once. Jobs
+//! that arrive while the kernel is busy form a backlog, and the next
+//! dispatch packs queued jobs, oldest first, into one block of at most
+//! `max_batch` rows, so batching happens exactly when load makes it
+//! pay. A job larger than `max_batch` is scored alone. Every block goes
+//! through the one kernel call site that [`ScoringEngine::score_into`]
+//! uses, on the scheduler's own thread: queued work never runs on the
+//! shared `spe-runtime` pool, whose helping threads run whatever task is
+//! pending, so a wedged model can only ever block its own scheduler.
+//! Only the direct [`ScoringEngine::score_into`] splits a large block
+//! across that pool.
+//!
+//! The engine fixes its output width at start: one score per row
+//! (P(class 1)) for binary models, the full k-class distribution for
+//! models with k > 2.
 //!
 //! The model lives behind an `RwLock`ed registry slot, so a retrained
 //! model can be hot-swapped with [`ScoringEngine::swap_model`] while
-//! requests are in flight: in-flight batches finish on the Arc they
-//! already cloned, later batches pick up the new model. Nothing blocks
+//! requests are in flight: in-flight blocks finish on the Arc they
+//! already cloned, later blocks pick up the new model. Nothing blocks
 //! for longer than the pointer swap.
 //!
 //! Scoring runs on one of two backends selected by [`ScoreBackend`]:
@@ -24,11 +33,11 @@
 
 use crate::error::ServeError;
 use crate::quantize::QuantizedModel;
-use crossbeam::deque::Injector;
 use parking_lot::{Condvar, Mutex, RwLock};
 use spe_data::{Matrix, MatrixView};
 use spe_learners::Model;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -53,14 +62,12 @@ pub enum ScoreBackend {
 /// clamping them; `EngineConfig::default()` is the builder's default.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Rows per batch at which the scheduler flushes immediately.
+    /// Rows at which the scheduler stops packing queued jobs into one
+    /// block.
     pub max_batch: usize,
-    /// Longest a queued row waits before its (possibly short) batch is
-    /// flushed anyway. Bounds tail latency under light load.
-    pub max_delay: Duration,
-    /// Queue capacity; submissions beyond it fail fast with
-    /// [`ServeError::QueueFull`] so overload backpressures the caller
-    /// instead of growing an unbounded buffer.
+    /// Queue capacity in rows; a job that would overflow it fails fast
+    /// with [`ServeError::QueueFull`] so overload backpressures the
+    /// caller instead of growing an unbounded buffer.
     pub queue_capacity: usize,
     /// Scoring kernel selection.
     pub backend: ScoreBackend,
@@ -70,7 +77,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_delay: Duration::from_millis(2),
             queue_capacity: 1024,
             backend: ScoreBackend::Auto,
         }
@@ -95,19 +101,13 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Rows per batch at which the scheduler flushes immediately.
+    /// Rows at which the scheduler stops packing queued jobs.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.max_batch = max_batch;
         self
     }
 
-    /// Longest a queued row waits before its batch is flushed anyway.
-    pub fn max_delay(mut self, max_delay: Duration) -> Self {
-        self.config.max_delay = max_delay;
-        self
-    }
-
-    /// Queue capacity before submissions fail with `QueueFull`.
+    /// Queue capacity in rows before submissions fail with `QueueFull`.
     pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.config.queue_capacity = queue_capacity;
         self
@@ -151,17 +151,17 @@ const LATENCY_WINDOW: usize = 4096;
 pub struct ServeStats {
     /// Rows accepted through [`ScoringEngine::submit`].
     pub requests: u64,
-    /// Batches flushed by the scheduler.
+    /// Blocks scored by the scheduler.
     pub batches: u64,
-    /// Rows scored through the direct [`ScoringEngine::score_matrix`]
+    /// Rows scored through the direct [`ScoringEngine::score_into`]
     /// path (these bypass the queue and are not in `requests`).
     pub direct_rows: u64,
-    /// Deepest the queue has ever been at submission time.
+    /// Deepest the queue has ever been, in rows, at submission time.
     pub queue_high_water: usize,
-    /// Median batch service time (queue drain + scoring), microseconds.
-    /// Zero until the first batch completes.
+    /// Median block service time (dequeue to scored), microseconds.
+    /// Zero until the first block completes.
     pub p50_batch_latency_us: u64,
-    /// 99th-percentile batch service time, microseconds.
+    /// 99th-percentile block service time, microseconds.
     pub p99_batch_latency_us: u64,
     /// Times a new model was installed via hot swap.
     pub model_swaps: u64,
@@ -174,7 +174,7 @@ struct StatsInner {
     direct_rows: AtomicU64,
     queue_high_water: AtomicUsize,
     model_swaps: AtomicU64,
-    /// Rolling window of batch service times in µs.
+    /// Rolling window of block service times in µs.
     latencies: Mutex<Vec<u64>>,
 }
 
@@ -203,10 +203,6 @@ impl StatsInner {
         }
     }
 
-    fn raise_high_water(&self, depth: usize) {
-        self.queue_high_water.fetch_max(depth, Ordering::Relaxed);
-    }
-
     fn snapshot(&self) -> ServeStats {
         let mut lat = self.latencies.lock().clone();
         lat.sort_unstable();
@@ -229,75 +225,51 @@ impl StatsInner {
     }
 }
 
-/// One queued scoring request.
-struct Request {
-    row: Vec<f64>,
+/// One queued scoring request: a block of whole rows and the cell its
+/// scores go to.
+struct Job {
+    x: Matrix,
     slot: Arc<Slot>,
 }
 
 /// Rendezvous cell a submitter blocks on until the scheduler fills it.
 struct Slot {
-    result: Mutex<Option<Result<f64, ServeError>>>,
+    result: Mutex<Option<Result<Vec<f64>, ServeError>>>,
     ready: Condvar,
 }
 
 impl Slot {
-    fn new() -> Self {
-        Self {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, value: Result<f64, ServeError>) {
+    fn fill(&self, value: Result<Vec<f64>, ServeError>) {
         *self.result.lock() = Some(value);
         self.ready.notify_all();
     }
 }
 
-/// Handle to one in-flight [`ScoringEngine::submit`] request.
-#[must_use = "wait() on the pending score to get the probability"]
-pub struct PendingScore {
+/// Handle to one in-flight [`ScoringEngine::submit`] job.
+#[must_use = "wait() on the pending job to get its scores"]
+pub struct PendingJob {
     slot: Arc<Slot>,
+    deadline: Instant,
 }
 
-impl PendingScore {
-    /// Blocks until the scheduler scores this row's batch.
-    ///
-    /// Always completes: engine shutdown drains the queue, scoring (or
-    /// failing) every accepted request before the scheduler exits.
-    pub fn wait(self) -> Result<f64, ServeError> {
-        let mut guard = self.slot.result.lock();
-        loop {
-            if let Some(res) = guard.take() {
-                return res;
-            }
-            self.slot.ready.wait(&mut guard);
-        }
-    }
-
-    /// Non-blocking poll; `None` while the batch is still pending.
-    pub fn try_take(&self) -> Option<Result<f64, ServeError>> {
-        self.slot.result.lock().take()
-    }
-
-    /// Blocks at most `timeout`, returning
-    /// [`ServeError::DeadlineExceeded`] if the batch has not completed
-    /// by then.
+impl PendingJob {
+    /// Blocks until the scheduler scores this job or its deadline
+    /// passes, whichever comes first; the scores are row-major,
+    /// [`ScoringEngine::scores_per_row`] per row.
     ///
     /// This is the deadline-propagation primitive for network serving:
-    /// a client-supplied timeout bounds the wait, so a wedged model can
-    /// never hang a connection. On timeout the row stays in its batch
-    /// and is still scored internally — the result is simply discarded
-    /// when the abandoned slot drops.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<f64, ServeError> {
-        let deadline = Instant::now() + timeout;
+    /// a client-supplied deadline bounds the wait, so a wedged model
+    /// can never hang a connection. On timeout the job stays queued and
+    /// is still scored; its result is discarded when the abandoned slot
+    /// drops. Engine shutdown scores every accepted job, so a wait
+    /// never outlives the engine by more than one block.
+    pub fn wait(self) -> Result<Vec<f64>, ServeError> {
         let mut guard = self.slot.result.lock();
         loop {
             if let Some(res) = guard.take() {
                 return res;
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = self.deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(ServeError::DeadlineExceeded);
             }
@@ -309,7 +281,7 @@ impl PendingScore {
 }
 
 /// The served model plus its (optional) quantized compilation; both
-/// swap atomically under the registry lock so a batch never mixes
+/// swap atomically under the registry lock so a block never mixes
 /// kernels from different models.
 struct ServingSlot {
     model: Arc<dyn Model>,
@@ -350,7 +322,7 @@ impl ServingSlot {
         Ok(Self { model, quantized })
     }
 
-    /// The scorer batches should run on.
+    /// The scorer blocks should run on.
     fn active(&self) -> Arc<dyn Model> {
         match &self.quantized {
             Some(q) => Arc::clone(q) as Arc<dyn Model>,
@@ -359,27 +331,34 @@ impl ServingSlot {
     }
 }
 
+/// The job queue, guarded by one lock with the scheduler's wake signal.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Rows across `jobs`.
+    rows: usize,
+    stopping: bool,
+}
+
 /// State shared between the engine handle and its scheduler thread.
 struct Shared {
-    queue: Injector<Request>,
+    queue: Mutex<Queue>,
+    work: Condvar,
     model: RwLock<ServingSlot>,
-    /// Scheduler wake signal: set when work arrives or on shutdown.
-    wake: Mutex<bool>,
-    wake_cv: Condvar,
-    stopping: AtomicBool,
     stats: StatsInner,
     config: EngineConfig,
     n_features: usize,
     /// Class count the engine serves, fixed by the initial model; swaps
     /// must match it so response rows never change width mid-stream.
     n_classes: usize,
+    /// Scores per row: 1 for binary models, `n_classes` above two.
+    width: usize,
 }
 
 /// Batched scoring engine over a hot-swappable model.
 ///
-/// Dropping the engine performs a graceful shutdown: no new requests
-/// are accepted, already-queued rows are scored, and the scheduler
-/// thread is joined.
+/// Dropping the engine performs a graceful shutdown: no new jobs are
+/// accepted, already-queued jobs are scored, and the scheduler thread
+/// is joined.
 pub struct ScoringEngine {
     shared: Arc<Shared>,
     scheduler: Option<JoinHandle<()>>,
@@ -403,15 +382,18 @@ impl ScoringEngine {
         let slot = ServingSlot::resolve(Arc::from(model), n_features, config.backend)?;
         let n_classes = slot.model.n_classes();
         let shared = Arc::new(Shared {
-            queue: Injector::new(),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                rows: 0,
+                stopping: false,
+            }),
+            work: Condvar::new(),
             model: RwLock::new(slot),
-            wake: Mutex::new(false),
-            wake_cv: Condvar::new(),
-            stopping: AtomicBool::new(false),
             stats: StatsInner::new(),
             config,
             n_features,
             n_classes,
+            width: if n_classes > 2 { n_classes } else { 1 },
         });
         let worker = Arc::clone(&shared);
         let scheduler = std::thread::Builder::new()
@@ -435,87 +417,99 @@ impl ScoringEngine {
         }
     }
 
-    /// Enqueues one row for batched scoring.
+    /// Enqueues the rows of `x` as one job, answered by
+    /// [`PendingJob::wait`] no later than `deadline`.
     ///
-    /// Fails fast with [`ServeError::QueueFull`] at capacity and
-    /// [`ServeError::RowWidthMismatch`] on a wrong-width row; neither
-    /// consumes queue space.
-    pub fn submit(&self, row: &[f64]) -> Result<PendingScore, ServeError> {
-        if self.shared.stopping.load(Ordering::Acquire) {
-            return Err(ServeError::EngineStopped);
-        }
-        if row.len() != self.shared.n_features {
-            return Err(ServeError::RowWidthMismatch {
-                expected: self.shared.n_features,
-                got: row.len(),
-            });
-        }
-        let depth = self.shared.queue.len();
-        if depth >= self.shared.config.queue_capacity {
-            return Err(ServeError::QueueFull {
-                capacity: self.shared.config.queue_capacity,
-            });
-        }
-        let slot = Arc::new(Slot::new());
-        self.shared.queue.push(Request {
-            row: row.to_vec(),
-            slot: Arc::clone(&slot),
-        });
-        self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.raise_high_water(depth + 1);
-        notify(&self.shared);
-        Ok(PendingScore { slot })
-    }
-
-    /// Scores a whole matrix synchronously, bypassing the queue.
-    ///
-    /// Rows fan out across the shared runtime in contiguous chunks; the
-    /// output is bit-identical to scoring the matrix in one call.
-    pub fn score_matrix(&self, x: &Matrix) -> Result<Vec<f64>, ServeError> {
-        let mut out = vec![0.0; x.rows()];
-        self.score_into(x.view(), &mut out)?;
-        Ok(out)
-    }
-
-    /// Scores a borrowed row block into a caller-owned buffer — the
-    /// zero-alloc serving path.
-    ///
-    /// Steady-state scoring through this entry allocates nothing: the
-    /// input is a view, the output is the caller's slice, and the
-    /// backend's per-batch scratch is thread-local. Small batches skip
-    /// the fan-out machinery entirely; larger ones split across the
-    /// shared runtime in contiguous chunks. Chunk geometry mirrors
-    /// `par_chunks` (≥64 rows, ≤4 chunks/thread); per-row results are
-    /// chunk-independent, so the output is bit-identical for every
-    /// thread count and batch split.
-    pub fn score_into(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), ServeError> {
-        if self.shared.stopping.load(Ordering::Acquire) {
-            return Err(ServeError::EngineStopped);
-        }
+    /// Fails fast, without queueing anything, with
+    /// [`ServeError::RowWidthMismatch`] on a wrong-width block,
+    /// [`ServeError::DeadlineExceeded`] when `deadline` has already
+    /// passed, and [`ServeError::QueueFull`] when the job's rows would
+    /// overflow the queue capacity.
+    pub fn submit(&self, x: Matrix, deadline: Instant) -> Result<PendingJob, ServeError> {
         if x.cols() != self.shared.n_features && x.rows() > 0 {
             return Err(ServeError::RowWidthMismatch {
                 expected: self.shared.n_features,
                 got: x.cols(),
             });
         }
-        if out.len() != x.rows() {
+        if Instant::now() >= deadline {
+            return Err(ServeError::DeadlineExceeded);
+        }
+        let rows = x.rows();
+        let slot = Arc::new(Slot {
+            result: Mutex::new(None),
+            ready: Condvar::new(),
+        });
+        {
+            let mut queue = self.shared.queue.lock();
+            if queue.stopping {
+                return Err(ServeError::EngineStopped);
+            }
+            let capacity = self.shared.config.queue_capacity;
+            if queue.rows + rows > capacity {
+                return Err(ServeError::QueueFull { capacity });
+            }
+            queue.rows += rows;
+            queue.jobs.push_back(Job {
+                x,
+                slot: Arc::clone(&slot),
+            });
+            let stats = &self.shared.stats;
+            stats.requests.fetch_add(rows as u64, Ordering::Relaxed);
+            stats
+                .queue_high_water
+                .fetch_max(queue.rows, Ordering::Relaxed);
+        }
+        self.shared.work.notify_one();
+        Ok(PendingJob { slot, deadline })
+    }
+
+    /// Scores a whole matrix synchronously, bypassing the queue: the
+    /// owned-output form of [`ScoringEngine::score_into`].
+    pub fn score_matrix(&self, x: &Matrix) -> Result<Vec<f64>, ServeError> {
+        let mut out = vec![0.0; x.rows() * self.shared.width];
+        self.score_into(x.view(), &mut out)?;
+        Ok(out)
+    }
+
+    /// Scores a borrowed row block into a caller-owned buffer of
+    /// [`scores_per_row`](Self::scores_per_row) values per row — the
+    /// zero-alloc serving path.
+    ///
+    /// Steady-state scoring through this entry allocates nothing: the
+    /// input is a view, the output is the caller's slice, and the
+    /// backend's per-batch scratch is thread-local. The output is
+    /// bit-identical to the queued path for every thread count and
+    /// block split.
+    pub fn score_into(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), ServeError> {
+        if x.cols() != self.shared.n_features && x.rows() > 0 {
+            return Err(ServeError::RowWidthMismatch {
+                expected: self.shared.n_features,
+                got: x.cols(),
+            });
+        }
+        let want = x.rows() * self.shared.width;
+        if out.len() != want {
             return Err(ServeError::OutputLengthMismatch {
-                expected: x.rows(),
+                expected: want,
                 got: out.len(),
             });
         }
         let model = self.shared.model.read().active();
+        let width = self.shared.width;
+        // Chunk geometry mirrors `par_chunks` (≥64 rows, ≤4 chunks per
+        // thread); per-row results are chunk-independent, so the output
+        // is bit-identical to the queue for every thread count.
         let threads = spe_runtime::current_threads().max(1);
         let chunk_len = x.rows().div_ceil(threads * 4).max(64);
         if threads <= 1 || x.rows() <= chunk_len {
-            // One worker (or one chunk) gains nothing from splitting —
-            // score the whole block in place.
-            model.predict_proba_into(x, out);
+            kernel(model.as_ref(), width, x, out);
         } else {
-            let mut chunks: Vec<&mut [f64]> = out.chunks_mut(chunk_len).collect();
+            let mut chunks: Vec<&mut [f64]> = out.chunks_mut(chunk_len * width).collect();
             spe_runtime::par_for_each_mut(&mut chunks, |i, chunk| {
                 let start = i * chunk_len;
-                model.predict_proba_into(x.rows_range(start..start + chunk.len()), chunk);
+                let rows = x.rows_range(start..start + chunk.len() / width);
+                kernel(model.as_ref(), width, rows, chunk);
             });
         }
         self.shared
@@ -525,10 +519,10 @@ impl ScoringEngine {
         Ok(())
     }
 
-    /// Installs a new model; later batches score against it.
+    /// Installs a new model; later blocks score against it.
     ///
-    /// In-flight batches finish on the model they already hold, so
-    /// there is no downtime and no torn batch. The configured
+    /// In-flight blocks finish on the model they already hold, so
+    /// there is no downtime and no torn block. The configured
     /// [`ScoreBackend`] is re-resolved for the new model; on a
     /// `Quantized` engine a model that cannot compile is rejected and
     /// the old model keeps serving.
@@ -557,16 +551,16 @@ impl ScoringEngine {
 
     /// Rows currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.queue.lock().rows
     }
 
-    /// The configured queue capacity (admission controllers watermark
-    /// against this).
+    /// The configured queue capacity in rows (admission controllers
+    /// watermark against this).
     pub fn queue_capacity(&self) -> usize {
         self.shared.config.queue_capacity
     }
 
-    /// The configured flush batch size.
+    /// The configured packing bound in rows.
     pub fn max_batch(&self) -> usize {
         self.shared.config.max_batch
     }
@@ -576,58 +570,17 @@ impl ScoringEngine {
         self.shared.n_features
     }
 
-    /// Classes per response row, fixed by the model the engine started
-    /// with (2 for every binary model).
+    /// Classes the served model scores, fixed by the model the engine
+    /// started with (2 for every binary model).
     pub fn n_classes(&self) -> usize {
         self.shared.n_classes
     }
 
-    /// Scores a whole matrix into row-major `[rows × n_classes]`
-    /// probability distributions, bypassing the queue.
-    pub fn score_classes_matrix(&self, x: &Matrix) -> Result<Vec<f64>, ServeError> {
-        let mut out = vec![0.0; x.rows() * self.shared.n_classes];
-        self.score_classes_into(x.view(), &mut out)?;
-        Ok(out)
-    }
-
-    /// K-wide twin of [`ScoringEngine::score_into`]: writes each row's
-    /// full class distribution into the caller's row-major
-    /// `[rows × n_classes]` buffer. Chunk geometry (and therefore the
-    /// bit pattern of every probability) matches the scalar path.
-    pub fn score_classes_into(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), ServeError> {
-        if self.shared.stopping.load(Ordering::Acquire) {
-            return Err(ServeError::EngineStopped);
-        }
-        if x.cols() != self.shared.n_features && x.rows() > 0 {
-            return Err(ServeError::RowWidthMismatch {
-                expected: self.shared.n_features,
-                got: x.cols(),
-            });
-        }
-        let k = self.shared.n_classes;
-        if out.len() != x.rows() * k {
-            return Err(ServeError::OutputLengthMismatch {
-                expected: x.rows() * k,
-                got: out.len(),
-            });
-        }
-        let model = self.shared.model.read().active();
-        let threads = spe_runtime::current_threads().max(1);
-        let chunk_len = x.rows().div_ceil(threads * 4).max(64);
-        if threads <= 1 || x.rows() <= chunk_len {
-            model.predict_proba_k_into(x, out);
-        } else {
-            let mut chunks: Vec<&mut [f64]> = out.chunks_mut(chunk_len * k).collect();
-            spe_runtime::par_for_each_mut(&mut chunks, |i, chunk| {
-                let start = i * chunk_len;
-                model.predict_proba_k_into(x.rows_range(start..start + chunk.len() / k), chunk);
-            });
-        }
-        self.shared
-            .stats
-            .direct_rows
-            .fetch_add(x.rows() as u64, Ordering::Relaxed);
-        Ok(())
+    /// Scores written per row: 1 (P(class 1)) for binary models, the
+    /// full `n_classes`-wide distribution for models with more than two
+    /// classes.
+    pub fn scores_per_row(&self) -> usize {
+        self.shared.width
     }
 
     /// Snapshot of the serving counters.
@@ -638,125 +591,102 @@ impl ScoringEngine {
 
 impl Drop for ScoringEngine {
     fn drop(&mut self) {
-        self.shared.stopping.store(true, Ordering::Release);
-        notify(&self.shared);
+        self.shared.queue.lock().stopping = true;
+        self.shared.work.notify_all();
         if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
-        // The scheduler scored everything it saw, but a submit can race
-        // the stop flag and push after its final drain. Fail those
-        // stragglers with a typed error so no waiter is ever left
-        // blocked on a dead engine.
-        while let Some(req) = self.shared.queue.steal().success() {
-            req.slot.fill(Err(ServeError::Shutdown));
+        // The scheduler scores every job queued before the stop flag,
+        // and no job is queued after it. Should the scheduler have died
+        // anyway, fail what it left with a typed error so no waiter
+        // blocks on a dead engine.
+        for job in self.shared.queue.lock().jobs.drain(..) {
+            job.slot.fill(Err(ServeError::Shutdown));
         }
     }
 }
 
-fn notify(shared: &Shared) {
-    let mut flag = shared.wake.lock();
-    *flag = true;
-    shared.wake_cv.notify_all();
-}
-
-/// Pops up to `limit` requests off the injector.
-fn drain(queue: &Injector<Request>, batch: &mut Vec<Request>, limit: usize) {
-    while batch.len() < limit {
-        match queue.steal().success() {
-            Some(req) => batch.push(req),
-            None => break,
-        }
+/// The one kernel call site, shared by the queue and
+/// [`ScoringEngine::score_into`]: `width` picks the scalar or the
+/// k-wide kernel.
+fn kernel(model: &dyn Model, width: usize, x: MatrixView<'_>, out: &mut [f64]) {
+    if width == 1 {
+        model.predict_proba_into(x, out);
+    } else {
+        model.predict_proba_k_into(x, out);
     }
 }
 
 fn scheduler_loop(shared: &Shared) {
     let max_batch = shared.config.max_batch;
-    // Buffers reused across batches: requests, the gathered row-major
-    // feature block and the probability output. Steady-state scoring
-    // allocates nothing per batch.
-    let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
-    let mut rows: Vec<f64> = Vec::with_capacity(max_batch * shared.n_features);
-    let mut probs: Vec<f64> = Vec::with_capacity(max_batch);
+    // Buffers reused across blocks: the jobs, their gathered row-major
+    // features and the block's scores.
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut rows: Vec<f64> = Vec::new();
+    let mut scores: Vec<f64> = Vec::new();
     loop {
-        // Sleep until work or shutdown.
         {
-            let mut flag = shared.wake.lock();
-            while !*flag && !shared.stopping.load(Ordering::Acquire) && shared.queue.is_empty() {
-                shared.wake_cv.wait(&mut flag);
+            let mut queue = shared.queue.lock();
+            while queue.jobs.is_empty() {
+                if queue.stopping {
+                    return;
+                }
+                shared.work.wait(&mut queue);
             }
-            *flag = false;
-        }
-        let stopping = shared.stopping.load(Ordering::Acquire);
-        if stopping && shared.queue.is_empty() {
-            return;
-        }
-
-        let started = Instant::now();
-        batch.clear();
-        drain(&shared.queue, &mut batch, max_batch);
-        if batch.is_empty() {
-            continue;
-        }
-        // Unless flushing is already warranted, linger up to max_delay
-        // from first dequeue so near-simultaneous submitters coalesce
-        // into one batch.
-        while batch.len() < max_batch && !shared.stopping.load(Ordering::Acquire) {
-            let elapsed = started.elapsed();
-            if elapsed >= shared.config.max_delay {
-                break;
+            // The oldest job goes at once. Jobs queued behind it are a
+            // backlog: they join its block while it stays within
+            // `max_batch` rows.
+            let mut taken = 0;
+            while let Some(next) = queue.jobs.front() {
+                let n = next.x.rows();
+                if !jobs.is_empty() && taken + n > max_batch {
+                    break;
+                }
+                taken += n;
+                jobs.extend(queue.jobs.pop_front());
             }
-            let mut flag = shared.wake.lock();
-            if !*flag {
-                shared
-                    .wake_cv
-                    .wait_for(&mut flag, shared.config.max_delay - elapsed);
-            }
-            *flag = false;
-            drop(flag);
-            drain(&shared.queue, &mut batch, max_batch);
+            queue.rows -= taken;
         }
-
-        score_batch(shared, &batch, &mut rows, &mut probs, started);
+        score_jobs(shared, &mut jobs, &mut rows, &mut scores);
     }
 }
 
-fn score_batch(
-    shared: &Shared,
-    batch: &[Request],
-    rows: &mut Vec<f64>,
-    probs: &mut Vec<f64>,
-    started: Instant,
-) {
-    // Gather the rows into the reusable row-major buffer and score
-    // through `predict_proba_into` — no owned `Matrix`, no per-batch
-    // output vector.
+/// Gathers one block of jobs, scores it on the scheduler thread and
+/// answers every job's slot.
+fn score_jobs(shared: &Shared, jobs: &mut Vec<Job>, rows: &mut Vec<f64>, scores: &mut Vec<f64>) {
+    let started = Instant::now();
+    let width = shared.width;
     rows.clear();
-    for req in batch {
-        rows.extend_from_slice(&req.row);
+    for job in jobs.iter() {
+        rows.extend_from_slice(job.x.as_slice());
     }
-    probs.clear();
-    probs.resize(batch.len(), 0.0);
-    let x = MatrixView::from_slice(rows, batch.len(), shared.n_features);
+    let n = jobs.iter().map(|job| job.x.rows()).sum();
+    scores.clear();
+    scores.resize(n * width, 0.0);
+    let x = MatrixView::from_slice(rows, n, shared.n_features);
     let model = shared.model.read().active();
     // A misbehaving custom model (wrong output length, internal panic)
-    // must fail the batch with a typed error, not kill the scheduler
+    // must fail its block with a typed error, not kill the scheduler
     // thread and hang every waiter.
     let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        model.predict_proba_into(x, probs);
+        kernel(model.as_ref(), width, x, scores);
     }));
     // Record before filling any slot: a waiter released by `fill` may
-    // read the stats immediately and must already see this batch.
+    // read the stats immediately and must already see this block.
     shared.stats.record_batch(started.elapsed());
     if scored.is_err() {
-        for req in batch {
-            req.slot.fill(Err(ServeError::Corrupt(
+        for job in jobs.drain(..) {
+            job.slot.fill(Err(ServeError::Corrupt(
                 "model panicked while scoring the batch".into(),
             )));
         }
         return;
     }
-    for (req, &p) in batch.iter().zip(probs.iter()) {
-        req.slot.fill(Ok(p));
+    let mut at = 0;
+    for job in jobs.drain(..) {
+        let len = job.x.rows() * width;
+        job.slot.fill(Ok(scores[at..at + len].to_vec()));
+        at += len;
     }
 }
 
@@ -774,34 +704,115 @@ mod tests {
         }
     }
 
+    /// Echo that takes 40ms per block — keeps the scheduler busy so
+    /// tests can build a backlog deterministically.
+    struct SlowEcho;
+    impl Model for SlowEcho {
+        fn predict_proba_view(&self, x: MatrixView<'_>) -> Vec<f64> {
+            std::thread::sleep(Duration::from_millis(40));
+            Echo.predict_proba_view(x)
+        }
+    }
+
     fn engine(model: Box<dyn Model>) -> ScoringEngine {
         ScoringEngine::start(model, 2, EngineConfig::default()).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    fn later() -> Instant {
+        Instant::now() + Duration::from_secs(60)
+    }
+
+    /// An `n`-row, 2-wide job whose first column counts up from `first`.
+    fn rows(first: f64, n: usize) -> Matrix {
+        let mut x = Matrix::zeros(n, 2);
+        for i in 0..n {
+            x.set(i, 0, first + i as f64);
+        }
+        x
+    }
+
+    fn score(e: &ScoringEngine, x: Matrix) -> Result<Vec<f64>, ServeError> {
+        e.submit(x, later())?.wait()
+    }
+
+    /// Spins until the scheduler has taken every queued job; a
+    /// `SlowEcho` engine then stays busy scoring for 40ms.
+    fn until_dispatched(e: &ScoringEngine) {
+        while e.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn submit_scores_through_the_batcher() {
+    fn a_job_comes_back_whole_and_in_row_order() {
         let e = engine(Box::new(Echo));
+        assert_eq!(score(&e, rows(1.0, 5)), Ok(vec![1.0, 2.0, 3.0, 4.0, 5.0]));
         let pending: Vec<_> = (0..10)
             .map(|i| {
-                e.submit(&[f64::from(i) / 10.0, 0.0])
+                e.submit(rows(f64::from(i), 1), later())
                     .unwrap_or_else(|err| panic!("{err}"))
             })
             .collect();
         for (i, p) in pending.into_iter().enumerate() {
-            let got = p.wait().unwrap_or_else(|err| panic!("{err}"));
-            assert!((got - i as f64 / 10.0).abs() < 1e-12);
+            assert_eq!(p.wait(), Ok(vec![i as f64]));
         }
         let stats = e.stats();
-        assert_eq!(stats.requests, 10);
+        assert_eq!(stats.requests, 15, "requests count rows, not jobs");
         assert!(stats.batches >= 1);
         assert!(stats.queue_high_water >= 1);
     }
 
     #[test]
-    fn wrong_width_row_rejected() {
+    fn an_idle_kernel_dispatches_each_job_at_once() {
+        let e = engine(Box::new(Echo));
+        for i in 0..3 {
+            assert_eq!(
+                score(&e, rows(f64::from(i), 2)),
+                Ok(vec![f64::from(i), f64::from(i) + 1.0])
+            );
+        }
+        // Nothing was queued behind any job, so nothing was packed.
+        assert_eq!(e.stats().batches, 3);
+    }
+
+    #[test]
+    fn a_backlog_packs_into_blocks_of_at_most_max_batch_rows() {
+        let cfg = EngineConfig::builder()
+            .max_batch(4)
+            .build()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let e = ScoringEngine::start(Box::new(SlowEcho), 2, cfg).unwrap_or_else(|e| panic!("{e}"));
+        // The first job occupies the kernel; the rest queue behind it.
+        let first = e
+            .submit(rows(0.0, 1), later())
+            .unwrap_or_else(|err| panic!("{err}"));
+        until_dispatched(&e);
+        let jobs = [rows(10.0, 2), rows(20.0, 2), rows(30.0, 9), rows(40.0, 1)];
+        let pending: Vec<_> = jobs
+            .into_iter()
+            .map(|x| e.submit(x, later()).unwrap_or_else(|err| panic!("{err}")))
+            .collect();
+        assert_eq!(e.queue_depth(), 14);
+        assert_eq!(first.wait(), Ok(vec![0.0]));
+        let got: Vec<Vec<f64>> = pending
+            .into_iter()
+            .map(|p| p.wait().unwrap_or_else(|err| panic!("{err}")))
+            .collect();
+        assert_eq!(got[0], vec![10.0, 11.0]);
+        assert_eq!(got[1], vec![20.0, 21.0]);
+        assert_eq!(got[2], (30..39).map(f64::from).collect::<Vec<_>>());
+        assert_eq!(got[3], vec![40.0]);
+        // [first], [2 + 2 rows packed], [9 rows alone: above max_batch],
+        // [1 row].
+        assert_eq!(e.stats().batches, 4);
+        assert_eq!(e.queue_depth(), 0);
+    }
+
+    #[test]
+    fn wrong_width_rows_rejected() {
         let e = engine(Box::new(ConstantModel(0.5)));
         assert_eq!(
-            e.submit(&[1.0]).map(|_| ()),
+            e.submit(Matrix::zeros(1, 1), later()).map(|_| ()),
             Err(ServeError::RowWidthMismatch {
                 expected: 2,
                 got: 1
@@ -814,80 +825,79 @@ mod tests {
                 got: 5
             })
         );
-    }
-
-    /// Scores correctly but slowly — keeps the scheduler busy so tests
-    /// can fill the queue deterministically.
-    struct Slow;
-    impl Model for Slow {
-        fn predict_proba_view(&self, x: MatrixView<'_>) -> Vec<f64> {
-            std::thread::sleep(Duration::from_millis(40));
-            vec![0.5; x.rows()]
-        }
+        assert_eq!(e.stats().requests, 0);
     }
 
     #[test]
-    fn queue_overflow_backpressures() {
+    fn a_spent_deadline_is_answered_before_enqueue() {
+        let e = engine(Box::new(ConstantModel(0.5)));
+        assert_eq!(
+            e.submit(rows(0.0, 3), Instant::now()).map(|_| ()),
+            Err(ServeError::DeadlineExceeded)
+        );
+        assert_eq!(e.stats().requests, 0, "a spent job is never queued");
+        assert_eq!(e.stats().batches, 0);
+    }
+
+    #[test]
+    fn queue_overflow_backpressures_in_rows() {
         let cfg = EngineConfig::builder()
             .queue_capacity(4)
             .max_batch(1)
-            .max_delay(Duration::ZERO)
             .build()
             .unwrap_or_else(|e| panic!("{e}"));
-        let e = ScoringEngine::start(Box::new(Slow), 1, cfg).unwrap_or_else(|e| panic!("{e}"));
-        // First row gets pulled into a (slow) batch almost immediately.
-        let mut pending = vec![e.submit(&[0.0]).unwrap_or_else(|err| panic!("{err}"))];
-        std::thread::sleep(Duration::from_millis(10));
-        // The scheduler is now asleep inside predict_proba; these four
-        // fill the queue and the next submit must shed load.
-        let mut overflowed = false;
-        for _ in 0..32 {
-            match e.submit(&[0.0]) {
-                Ok(p) => pending.push(p),
-                Err(ServeError::QueueFull { capacity }) => {
-                    assert_eq!(capacity, 4);
-                    overflowed = true;
-                    break;
-                }
-                Err(other) => panic!("{other}"),
-            }
-        }
-        assert!(overflowed, "queue never filled");
+        let e = ScoringEngine::start(Box::new(SlowEcho), 2, cfg).unwrap_or_else(|e| panic!("{e}"));
+        // The first job is dispatched at once and keeps the kernel busy.
+        let mut pending = vec![e
+            .submit(rows(0.0, 1), later())
+            .unwrap_or_else(|err| panic!("{err}"))];
+        until_dispatched(&e);
+        // A job wider than the free capacity sheds whole.
+        assert_eq!(
+            e.submit(rows(0.0, 5), later()).map(|_| ()),
+            Err(ServeError::QueueFull { capacity: 4 })
+        );
+        pending.push(
+            e.submit(rows(0.0, 3), later())
+                .unwrap_or_else(|err| panic!("{err}")),
+        );
+        pending.push(
+            e.submit(rows(0.0, 1), later())
+                .unwrap_or_else(|err| panic!("{err}")),
+        );
+        assert_eq!(
+            e.submit(rows(0.0, 1), later()).map(|_| ()),
+            Err(ServeError::QueueFull { capacity: 4 })
+        );
+        assert_eq!(e.stats().queue_high_water, 4);
         drop(e); // shutdown drains the queue...
         for p in pending {
-            assert_eq!(p.wait(), Ok(0.5)); // ...so every accepted row resolves
+            assert!(p.wait().is_ok()); // ...so every accepted job resolves
         }
     }
 
     #[test]
-    fn shutdown_drains_accepted_requests() {
+    fn shutdown_drains_accepted_jobs() {
         let e = engine(Box::new(ConstantModel(0.25)));
         let pending: Vec<_> = (0..32)
-            .map(|_| e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}")))
+            .map(|_| {
+                e.submit(rows(0.0, 2), later())
+                    .unwrap_or_else(|err| panic!("{err}"))
+            })
             .collect();
         drop(e);
         for p in pending {
-            assert_eq!(p.wait(), Ok(0.25));
+            assert_eq!(p.wait(), Ok(vec![0.25, 0.25]));
         }
-    }
-
-    #[test]
-    fn submit_after_drop_is_rejected() {
-        let e = engine(Box::new(ConstantModel(0.5)));
-        let shared = Arc::clone(&e.shared);
-        drop(e);
-        assert!(shared.stopping.load(Ordering::Acquire));
     }
 
     #[test]
     fn hot_swap_changes_later_scores() {
         let e = engine(Box::new(ConstantModel(0.1)));
-        let before = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(before.wait(), Ok(0.1));
+        assert_eq!(score(&e, rows(0.0, 1)), Ok(vec![0.1]));
         e.swap_model(Box::new(ConstantModel(0.9)))
             .unwrap_or_else(|err| panic!("{err}"));
-        let after = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(after.wait(), Ok(0.9));
+        assert_eq!(score(&e, rows(0.0, 1)), Ok(vec![0.9]));
         assert_eq!(e.stats().model_swaps, 1);
     }
 
@@ -907,16 +917,15 @@ mod tests {
     }
 
     #[test]
-    fn score_into_matches_score_matrix_and_checks_buffer() {
+    fn score_into_matches_the_queue_and_checks_buffer() {
         let e = engine(Box::new(Echo));
-        let x = Matrix::from_vec(4, 2, vec![0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0]);
-        let mut buf = vec![0.0; 4];
+        // Large enough to split across the runtime.
+        let x = rows(0.5, 300);
+        let mut buf = vec![0.0; 300];
         e.score_into(x.view(), &mut buf)
             .unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(
-            buf,
-            e.score_matrix(&x).unwrap_or_else(|err| panic!("{err}"))
-        );
+        assert_eq!(buf, score(&e, x).unwrap_or_else(|err| panic!("{err}")));
+        let x = rows(0.5, 4);
         let mut short = vec![0.0; 3];
         assert!(matches!(
             e.score_into(x.view(), &mut short),
@@ -936,12 +945,32 @@ mod tests {
         ));
     }
 
+    /// Echo that records the name of every thread it scores on.
+    struct WhereScored(Arc<Mutex<Vec<String>>>);
+    impl Model for WhereScored {
+        fn predict_proba_view(&self, x: MatrixView<'_>) -> Vec<f64> {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            self.0.lock().push(name);
+            Echo.predict_proba_view(x)
+        }
+    }
+
+    #[test]
+    fn queued_blocks_score_on_the_scheduler_thread_alone() {
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let e = engine(Box::new(WhereScored(Arc::clone(&threads))));
+        // Far above one chunk: `score_into` would split this block, but
+        // the queue must never hand work to the shared pool.
+        let got = score(&e, rows(0.0, 1000)).unwrap_or_else(|err| panic!("{err}"));
+        assert_eq!(got, (0..1000).map(f64::from).collect::<Vec<_>>());
+        assert_eq!(*threads.lock(), vec!["spe-serve-scheduler".to_string()]);
+    }
+
     #[test]
     fn latency_percentiles_populate() {
         let e = engine(Box::new(Echo));
         for _ in 0..5 {
-            let p = e.submit(&[0.5, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-            let _ = p.wait();
+            let _ = score(&e, rows(0.5, 1));
         }
         let s = e.stats();
         assert!(s.p50_batch_latency_us <= s.p99_batch_latency_us);
@@ -984,14 +1013,12 @@ mod tests {
         ));
         let e = engine(Box::new(Echo));
         assert_eq!(e.backend(), ScoreBackend::F64);
-        let p = e.submit(&[0.75, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(p.wait(), Ok(0.75));
+        assert_eq!(score(&e, rows(0.75, 1)), Ok(vec![0.75]));
         // A quantizable swap target upgrades the slot in place.
         e.swap_model(Box::new(ConstantModel(0.5)))
             .unwrap_or_else(|err| panic!("{err}"));
         assert_eq!(e.backend(), ScoreBackend::Quantized);
-        let p = e.submit(&[0.1, 0.2]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(p.wait(), Ok(0.5));
+        assert_eq!(score(&e, rows(0.1, 1)), Ok(vec![0.5]));
     }
 
     #[test]
@@ -1007,35 +1034,25 @@ mod tests {
             Err(ServeError::Unquantizable(_))
         ));
         assert_eq!(e.stats().model_swaps, 0);
-        let p = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(p.wait(), Ok(0.3));
+        assert_eq!(score(&e, rows(0.0, 1)), Ok(vec![0.3]));
     }
 
     #[test]
-    fn wait_timeout_returns_deadline_exceeded_then_result_is_discarded() {
-        let cfg = EngineConfig::builder()
-            .max_batch(1)
-            .max_delay(Duration::ZERO)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"));
-        let e = ScoringEngine::start(Box::new(Slow), 1, cfg).unwrap_or_else(|e| panic!("{e}"));
-        // Slow sleeps 40ms per batch; a 2ms deadline must miss.
-        let p = e.submit(&[0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(
-            p.wait_timeout(Duration::from_millis(2)),
-            Err(ServeError::DeadlineExceeded)
-        );
+    fn a_missed_deadline_is_typed_and_the_result_discarded() {
+        let e = engine(Box::new(SlowEcho));
+        // SlowEcho takes 40ms per block; a 2ms deadline must miss.
+        let p = e
+            .submit(rows(0.0, 1), Instant::now() + Duration::from_millis(2))
+            .unwrap_or_else(|err| panic!("{err}"));
+        assert_eq!(p.wait(), Err(ServeError::DeadlineExceeded));
         // The engine is not poisoned: a generous deadline succeeds.
-        let p = e.submit(&[0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(p.wait_timeout(Duration::from_secs(10)), Ok(0.5));
+        assert_eq!(score(&e, rows(0.5, 1)), Ok(vec![0.5]));
     }
 
     #[test]
-    fn concurrent_submitters_racing_drop_never_hang() {
-        // Regression: a submit that wins the stopping-flag race but
-        // pushes after the scheduler's final drain must still resolve —
-        // with Ok (scheduler saw it) or the typed Shutdown error (drop
-        // drained it) — never block forever.
+    fn concurrent_submitters_never_hang() {
+        // Submitters race each other and the final drop; every accepted
+        // job must resolve with its scores, never block forever.
         for _ in 0..20 {
             let e = Arc::new(engine(Box::new(ConstantModel(0.5))));
             let mut handles = Vec::new();
@@ -1044,19 +1061,14 @@ mod tests {
                 handles.push(std::thread::spawn(move || {
                     let mut outcomes = Vec::new();
                     for _ in 0..50 {
-                        match eng.submit(&[0.0, 0.0]) {
+                        match eng.submit(rows(0.0, 3), later()) {
                             Ok(p) => outcomes.push(p),
-                            Err(ServeError::EngineStopped) => break,
                             Err(ServeError::QueueFull { .. }) => continue,
                             Err(other) => panic!("{other}"),
                         }
                     }
                     for p in outcomes {
-                        match p.wait() {
-                            Ok(v) => assert_eq!(v, 0.5),
-                            Err(ServeError::Shutdown) => {}
-                            Err(other) => panic!("{other}"),
-                        }
+                        assert_eq!(p.wait(), Ok(vec![0.5; 3]));
                     }
                 }));
             }
@@ -1091,8 +1103,7 @@ mod tests {
         ));
         // The rejected swap left the old model serving.
         assert_eq!(e.stats().model_swaps, 0);
-        let p = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(p.wait(), Ok(0.5));
+        assert_eq!(score(&e, rows(0.0, 1)), Ok(vec![0.5]));
     }
 
     fn tri_class() -> Box<dyn Model> {
@@ -1115,43 +1126,37 @@ mod tests {
             })
         ));
         assert_eq!(e.stats().model_swaps, 0);
-        let p = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(p.wait(), Ok(0.5));
+        assert_eq!(score(&e, rows(0.0, 1)), Ok(vec![0.5]));
     }
 
     #[test]
-    fn score_classes_emits_full_distributions() {
+    fn k_wide_engine_scores_distributions_on_both_paths() {
         let e = ScoringEngine::start(tri_class(), 2, EngineConfig::default())
             .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(e.n_classes(), 3);
+        assert_eq!(e.scores_per_row(), 3);
+        let want = vec![0.2, 0.3, 0.5, 0.2, 0.3, 0.5];
         let x = Matrix::zeros(2, 2);
-        let dist = e
-            .score_classes_matrix(&x)
-            .unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(dist, vec![0.2, 0.3, 0.5, 0.2, 0.3, 0.5]);
+        assert_eq!(e.score_matrix(&x), Ok(want.clone()));
+        assert_eq!(score(&e, x.clone()), Ok(want));
         // A same-k swap is accepted.
         e.swap_model(tri_class())
             .unwrap_or_else(|err| panic!("{err}"));
         assert_eq!(e.stats().model_swaps, 1);
-        // Binary engines expand the scalar probability to [1-p, p].
-        let b = engine(Box::new(ConstantModel(0.25)));
-        assert_eq!(
-            b.score_classes_matrix(&Matrix::zeros(1, 2))
-                .unwrap_or_else(|err| panic!("{err}")),
-            vec![0.75, 0.25]
-        );
         // The buffer must hold rows * k slots.
         let mut short = vec![0.0; 4];
         assert!(matches!(
-            e.score_classes_into(x.view(), &mut short),
+            e.score_into(x.view(), &mut short),
             Err(ServeError::OutputLengthMismatch {
                 expected: 6,
                 got: 4
             })
         ));
+        // Binary engines keep one score per row.
+        assert_eq!(engine(Box::new(ConstantModel(0.25))).scores_per_row(), 1);
     }
 
-    /// Model that panics while scoring — the batch must resolve to
+    /// Model that panics while scoring — the block must resolve to
     /// `Corrupt` errors instead of hanging every waiter.
     struct Panicky;
     impl Model for Panicky {
@@ -1163,12 +1168,13 @@ mod tests {
     #[test]
     fn panicking_model_fails_the_batch_not_the_engine() {
         let e = engine(Box::new(Panicky));
-        let p = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert!(matches!(p.wait(), Err(ServeError::Corrupt(_))));
+        assert!(matches!(
+            score(&e, rows(0.0, 1)),
+            Err(ServeError::Corrupt(_))
+        ));
         // Scheduler survived; a healthy swap restores service.
         e.swap_model(Box::new(ConstantModel(0.6)))
             .unwrap_or_else(|err| panic!("{err}"));
-        let p = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
-        assert_eq!(p.wait(), Ok(0.6));
+        assert_eq!(score(&e, rows(0.0, 1)), Ok(vec![0.6]));
     }
 }

@@ -9,9 +9,10 @@
 //!   verify the checksum *before* decoding and report corruption,
 //!   truncation, version skew and kind mismatches as distinct
 //!   [`ServeError`] variants.
-//! - [`engine`] — a micro-batching [`ScoringEngine`]: callers submit
-//!   single rows, a scheduler thread coalesces them into batches
-//!   (flushing on size or delay) and scores them through the shared
+//! - [`engine`] — a request-batching [`ScoringEngine`]: callers submit
+//!   each request as one job of whole rows; a scheduler thread scores a
+//!   job at once when idle, packs queued jobs into one block only while
+//!   a backlog exists, and splits large blocks across the shared
 //!   `spe-runtime` pool. The served model sits behind a hot-swap
 //!   registry slot so retrained models roll out with zero downtime.
 //! - [`quantize`] — a u8-quantized tree kernel. Tree-shaped snapshots
@@ -32,8 +33,10 @@
 //!     .backend(ScoreBackend::Auto)
 //!     .build()?;
 //! let engine = ScoringEngine::start(Box::new(loaded), 30, config)?;
-//! let p = engine.submit(&[0.0; 30])?.wait()?;
-//! # let _ = p; Ok(())
+//! let rows = spe_data::Matrix::zeros(4, 30);
+//! let deadline = std::time::Instant::now() + std::time::Duration::from_millis(50);
+//! let scores = engine.submit(rows, deadline)?.wait()?; // one score per row
+//! # let _ = scores; Ok(())
 //! # }
 //! ```
 
@@ -43,7 +46,7 @@ pub mod error;
 pub mod quantize;
 
 pub use engine::{
-    EngineConfig, EngineConfigBuilder, PendingScore, ScoreBackend, ScoringEngine, ServeStats,
+    EngineConfig, EngineConfigBuilder, PendingJob, ScoreBackend, ScoringEngine, ServeStats,
 };
 pub use envelope::{
     fnv1a, load_envelope, load_model, load_model_expecting, load_spe, save_model, save_snapshot,
@@ -127,17 +130,26 @@ mod tests {
             .score_matrix(data.x())
             .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(got, want);
-        // Queued single-row path agrees too.
+        // Queued jobs agree too, one row or sixteen at a time.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
         let pending: Vec<_> = (0..16)
             .map(|i| {
                 engine
-                    .submit(data.x().row(i))
+                    .submit(data.x().row_range(i..i + 1), deadline)
                     .unwrap_or_else(|e| panic!("{e}"))
             })
+            .chain(std::iter::once(
+                engine
+                    .submit(data.x().row_range(0..16), deadline)
+                    .unwrap_or_else(|e| panic!("{e}")),
+            ))
             .collect();
-        for (i, p) in pending.into_iter().enumerate() {
-            assert_eq!(p.wait(), Ok(want[i]));
-        }
+        let got: Vec<f64> = pending
+            .into_iter()
+            .flat_map(|p| p.wait().unwrap_or_else(|e| panic!("{e}")))
+            .collect();
+        assert_eq!(got[..16], want[..16]);
+        assert_eq!(got[16..], want[..16]);
         std::fs::remove_file(&path).unwrap_or_else(|e| panic!("{e}"));
     }
 }

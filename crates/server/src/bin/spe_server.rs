@@ -4,7 +4,7 @@
 //! ```sh
 //! spe_server serve --features 30 --model fraud=fraud.spe
 //!                  [--addr 127.0.0.1:8080] [--workers 4]
-//!                  [--queue-capacity 1024] [--max-batch 64] [--max-delay-ms 2]
+//!                  [--queue-capacity 1024] [--max-batch 64]
 //!                  [--watermark 0.9] [--breaker-threshold 5]
 //!                  [--breaker-cooldown-ms 1000] [--port-file addr.txt]
 //! spe_server gate  --model model.spe --data data.csv
@@ -40,11 +40,28 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "usage:
   spe_server serve --features N --model <name>=<model.spe> [--model ...]
                    [--addr HOST:PORT] [--workers N] [--queue-capacity N]
-                   [--max-batch N] [--max-delay-ms N] [--watermark F]
+                   [--max-batch N] [--watermark F]
                    [--breaker-threshold N] [--breaker-cooldown-ms N]
                    [--shadow-capacity N] [--port-file PATH]
   spe_server gate  --model <model.spe> --data <data.csv>
   spe_server online-gate";
+
+/// Flags `serve` reads; any other name is rejected, so a misspelt or
+/// removed flag fails loudly instead of being ignored.
+const SERVE_FLAGS: &[&str] = &[
+    "features",
+    "model",
+    "addr",
+    "workers",
+    "queue-capacity",
+    "max-batch",
+    "watermark",
+    "breaker-threshold",
+    "breaker-cooldown-ms",
+    "shadow-capacity",
+    "port-file",
+];
+const GATE_FLAGS: &[&str] = &["model", "data"];
 
 /// `--flag value` parser that keeps repeats (for `--model`).
 struct Flags {
@@ -52,13 +69,17 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parses `argv`, accepting only the flag names in `known`.
+    fn parse(argv: &[String], known: &[&str]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got {flag:?}"))?;
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             pairs.push((name.to_string(), value.clone()));
         }
@@ -98,7 +119,6 @@ impl Flags {
 fn config_from_flags(flags: &Flags, n_features: usize) -> Result<RegistryConfig, String> {
     let engine = EngineConfig::builder()
         .max_batch(flags.parse_or("max-batch", 64)?)
-        .max_delay(Duration::from_millis(flags.parse_or("max-delay-ms", 2)?))
         .queue_capacity(flags.parse_or("queue-capacity", 1024)?)
         .backend(ScoreBackend::Auto)
         .build()
@@ -247,7 +267,6 @@ fn cmd_gate(flags: &Flags) -> Result<(), String> {
     let mut config = RegistryConfig::new(x.cols());
     config.engine = EngineConfig::builder()
         .max_batch(16)
-        .max_delay(Duration::from_millis(1))
         .queue_capacity(GATE_QUEUE)
         .build()
         .map_err(|e| e.to_string())?;
@@ -626,20 +645,24 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match Flags::parse(&argv[1..]) {
+    type Command = fn(&Flags) -> Result<(), String>;
+    let (known, command): (&[&str], Command) = match cmd.as_str() {
+        "serve" => (SERVE_FLAGS, cmd_serve),
+        "gate" => (GATE_FLAGS, cmd_gate),
+        "online-gate" => (&[], |_| cmd_online_gate()),
+        other => {
+            eprintln!("spe_server: unknown subcommand {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let flags = match Flags::parse(&argv[1..], known) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("spe_server: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "serve" => cmd_serve(&flags),
-        "gate" => cmd_gate(&flags),
-        "online-gate" => cmd_online_gate(),
-        other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
-    };
-    match result {
+    match command(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("spe_server: {e}");

@@ -35,6 +35,7 @@ use httpd::{Request, Response};
 use spe_data::Matrix;
 use spe_online::{OnlineConfig, OnlineStatus};
 use spe_serve::ServeError;
+use std::fmt::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -124,14 +125,13 @@ pub fn handle(registry: &ModelRegistry, shutdown: &AtomicBool, req: &Request) ->
     }
 }
 
-/// `POST /score/{model}`: parse rows + deadline, run the entry's full
-/// admission/breaker/deadline gauntlet, render scores or the mapped
-/// failure.
+/// `POST /score/{model}`: parse the rows and deadline, run the entry's
+/// one request path, render the scores or the mapped failure.
 ///
-/// Binary models answer `{"scores":[...]}` exactly as they always
-/// have; a model serving more than two classes answers
-/// `{"n_classes":k,"classes":[[...k probabilities...],...]}` with one
-/// row-major distribution per input row.
+/// Binary models answer `{"scores":[...]}`; a model serving more than
+/// two classes answers `{"n_classes":k,"classes":[[...k
+/// probabilities...],...]}` with one row-major distribution per input
+/// row.
 fn score(registry: &ModelRegistry, name: &str, req: &Request) -> Response {
     let entry = match registry.get(name) {
         Ok(e) => e,
@@ -141,49 +141,45 @@ fn score(registry: &ModelRegistry, name: &str, req: &Request) -> Response {
         Ok(t) => t,
         Err(resp) => return resp,
     };
-    let rows = match parse_rows(&req.body_str()) {
-        Ok(r) => r,
-        Err(msg) => return Response::json(400, format!("{{\"error\":{}}}", json_string(&msg))),
+    let x = match parse_csv(&req.body, registry.n_features()) {
+        Ok(x) => x,
+        Err(msg) => return bad_request(&msg),
     };
-    let k = entry.engine().n_classes();
-    if k > 2 {
-        return match entry.score_classes(&rows) {
-            Ok(dist) => {
-                let mut body = String::with_capacity(32 + dist.len() * 8);
-                body.push_str(&format!("{{\"n_classes\":{k},\"classes\":["));
-                for (i, row) in dist.chunks(k).enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    body.push('[');
-                    for (j, p) in row.iter().enumerate() {
-                        if j > 0 {
-                            body.push(',');
-                        }
-                        body.push_str(&json_f64(*p));
-                    }
-                    body.push(']');
-                }
-                body.push_str("]}");
-                Response::json(200, body)
-            }
-            Err(e) => score_error(&entry, &e),
-        };
-    }
-    match entry.score(&rows, timeout) {
-        Ok(scores) => {
-            let mut body = String::with_capacity(16 + scores.len() * 8);
-            body.push_str("{\"scores\":[");
-            for (i, s) in scores.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&json_f64(*s));
-            }
-            body.push_str("]}");
-            Response::json(200, body)
-        }
+    let width = entry.engine().scores_per_row();
+    match entry.score_request(x, timeout) {
+        Ok(scores) => Response::json(200, render_scores(&scores, width)),
         Err(e) => score_error(&entry, &e),
+    }
+}
+
+/// Writes `width` scores per row into one JSON body.
+fn render_scores(scores: &[f64], width: usize) -> String {
+    let mut body = String::with_capacity(32 + scores.len() * 20);
+    if width == 1 {
+        body.push_str("{\"scores\":[");
+        write_numbers(&mut body, scores);
+    } else {
+        let _ = write!(body, "{{\"n_classes\":{width},\"classes\":[");
+        for (i, row) in scores.chunks_exact(width).enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            body.push('[');
+            write_numbers(&mut body, row);
+            body.push(']');
+        }
+    }
+    body.push_str("]}");
+    body
+}
+
+/// Comma-separated JSON numbers, written in place.
+fn write_numbers(out: &mut String, values: &[f64]) {
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}", JsonF64(Some(v)));
     }
 }
 
@@ -195,33 +191,27 @@ fn feedback(registry: &ModelRegistry, name: &str, req: &Request) -> Response {
         Ok(e) => e,
         Err(e) => return manage_error(&e),
     };
-    let rows = match parse_rows(&req.body_str()) {
-        Ok(r) => r,
-        Err(msg) => return Response::json(400, format!("{{\"error\":{}}}", json_string(&msg))),
-    };
     let width = registry.n_features();
-    let mut flat = Vec::with_capacity(rows.len() * width);
-    let mut labels = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        if row.len() != width + 1 {
-            let msg = format!(
-                "line {}: feedback rows want {width} features plus a trailing 0/1 label, got {} fields",
-                i + 1,
-                row.len()
-            );
-            return Response::json(400, format!("{{\"error\":{}}}", json_string(&msg)));
-        }
+    let rows = match parse_csv(&req.body, width + 1) {
+        Ok(x) => x,
+        Err(msg) => return bad_request(&format!("{msg} (features plus a trailing 0/1 label)")),
+    };
+    let mut flat = Vec::with_capacity(rows.rows() * width);
+    let mut labels = Vec::with_capacity(rows.rows());
+    for (i, row) in rows.iter_rows().enumerate() {
         let label = row[width];
         if label != 0.0 && label != 1.0 {
-            let msg = format!("line {}: trailing label must be 0 or 1, got {label}", i + 1);
-            return Response::json(400, format!("{{\"error\":{}}}", json_string(&msg)));
+            return bad_request(&format!(
+                "row {}: trailing label must be 0 or 1, got {label}",
+                i + 1
+            ));
         }
         labels.push(label as u8);
         flat.extend_from_slice(&row[..width]);
     }
-    let x = Matrix::from_vec(rows.len(), width, flat);
-    match entry.ingest_feedback(x, labels) {
-        Ok(()) => Response::json(200, format!("{{\"ingested\":{}}}", rows.len())),
+    let n = labels.len();
+    match entry.ingest_feedback(Matrix::from_vec(n, width, flat), labels) {
+        Ok(()) => Response::json(200, format!("{{\"ingested\":{n}}}")),
         Err(e) => manage_error(&e),
     }
 }
@@ -255,24 +245,41 @@ fn parse_timeout(req: &Request) -> Result<Duration, Response> {
     }
 }
 
-/// One CSV row of features per line; blank lines skipped.
-fn parse_rows(body: &str) -> Result<Vec<Vec<f64>>, String> {
-    let mut rows = Vec::new();
-    for (lineno, line) in body.lines().enumerate() {
-        let line = line.trim();
+/// Parses the body bytes as CSV, `width` numbers per line, into one
+/// row-major matrix; blank lines are skipped.
+fn parse_csv(body: &[u8], width: usize) -> Result<Matrix, String> {
+    let mut data = Vec::new();
+    let mut rows = 0;
+    for (lineno, line) in body.split(|&b| b == b'\n').enumerate() {
+        let line = line.trim_ascii();
         if line.is_empty() {
             continue;
         }
-        let row: Result<Vec<f64>, _> = line.split(',').map(|f| f.trim().parse::<f64>()).collect();
-        match row {
-            Ok(r) => rows.push(r),
-            Err(_) => return Err(format!("line {}: not a CSV row of numbers", lineno + 1)),
+        let start = data.len();
+        for field in line.split(|&b| b == b',') {
+            let value = std::str::from_utf8(field.trim_ascii())
+                .ok()
+                .and_then(|f| f.parse::<f64>().ok())
+                .ok_or_else(|| format!("line {}: not a CSV row of numbers", lineno + 1))?;
+            data.push(value);
         }
+        let got = data.len() - start;
+        if got != width {
+            return Err(format!(
+                "line {}: expected {width} fields, got {got}",
+                lineno + 1
+            ));
+        }
+        rows += 1;
     }
-    if rows.is_empty() {
+    if rows == 0 {
         return Err("request body holds no rows".into());
     }
-    Ok(rows)
+    Ok(Matrix::from_vec(rows, width, data))
+}
+
+fn bad_request(msg: &str) -> Response {
+    Response::json(400, format!("{{\"error\":{}}}", json_string(msg)))
 }
 
 /// Scoring-path failure mapping; `entry` supplies the shed retry hint.
@@ -348,14 +355,18 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// f64 → JSON number. Rust's shortest-round-trip `Display` is valid
-/// JSON for finite values; non-finite scores (which a well-formed model
-/// never emits) are rendered as null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+/// The one f64 → JSON number rule, for `format!` and `write!` alike.
+/// Rust's shortest-round-trip `Display` is valid JSON for finite
+/// values; non-finite values (which a well-formed model never emits)
+/// and absent ones render as null.
+struct JsonF64(Option<f64>);
+
+impl std::fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Some(v) if v.is_finite() => std::fmt::Display::fmt(&v, f),
+            _ => f.write_str("null"),
+        }
     }
 }
 
@@ -365,14 +376,10 @@ fn divergence_json(s: &DivergenceStats) -> String {
         s.compared,
         s.dropped,
         s.candidate_failures,
-        json_f64(s.mean_abs_diff),
-        json_f64(s.max_abs_diff),
+        JsonF64(Some(s.mean_abs_diff)),
+        JsonF64(Some(s.max_abs_diff)),
         s.disagreements
     )
-}
-
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map(json_f64).unwrap_or_else(|| "null".into())
 }
 
 /// Retrain-loop state for the status endpoint and `/metrics`.
@@ -387,10 +394,10 @@ fn online_json(s: &OnlineStatus) -> String {
         s.window_rows,
         s.window_minority,
         s.window_majority,
-        json_f64(s.window_fill),
+        JsonF64(Some(s.window_fill)),
         s.holdout_rows,
-        json_opt_f64(s.drift_score),
-        json_opt_f64(s.drift_reference),
+        JsonF64(s.drift_score),
+        JsonF64(s.drift_reference),
         s.consecutive_breaches,
         s.total_breaches,
         s.drift_events,
@@ -398,7 +405,7 @@ fn online_json(s: &OnlineStatus) -> String {
         s.retrains_promoted,
         s.retrains_rejected,
         s.retrains_failed,
-        json_opt_f64(s.last_promotion_delta),
+        JsonF64(s.last_promotion_delta),
         s.retraining,
         last_error
     )
@@ -472,7 +479,6 @@ mod tests {
         config.engine = EngineConfig::builder()
             .max_batch(4)
             .queue_capacity(8)
-            .max_delay(Duration::from_millis(1))
             .build()
             .unwrap_or_else(|e| panic!("{e}"));
         let reg = ModelRegistry::new(config);

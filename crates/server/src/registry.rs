@@ -137,20 +137,22 @@ impl ModelEntry {
         })
     }
 
-    /// Scores a batch of rows with a request-wide deadline.
+    /// Scores one request, a block of whole rows, under a request-wide
+    /// deadline; the one path every class width takes. Returns
+    /// [`scores_per_row`](ScoringEngine::scores_per_row) values per row.
     ///
     /// The full gauntlet, in order: breaker gate, admission watermark,
-    /// per-row submit, deadline-bounded waits. On success the rows are
+    /// one engine job, a deadline-bounded wait. On success the rows are
     /// mirrored to the shadow candidate (if any). Deadline misses and
     /// scoring failures feed the breaker; shed load and client errors
     /// (bad row width) do not.
-    pub fn score(
+    pub fn score_request(
         self: &Arc<Self>,
-        rows: &[Vec<f64>],
+        x: Matrix,
         timeout: Duration,
     ) -> Result<Vec<f64>, ServeError> {
         self.breaker.admit()?;
-        let outcome = self.score_admitted(rows, timeout);
+        let outcome = self.score_admitted(x, timeout);
         match &outcome {
             Ok(_) => {
                 self.breaker.record(true);
@@ -175,84 +177,52 @@ impl ModelEntry {
         outcome
     }
 
-    fn score_admitted(&self, rows: &[Vec<f64>], timeout: Duration) -> Result<Vec<f64>, ServeError> {
-        self.admission
-            .check(self.engine.queue_depth(), rows.len())?;
-        let deadline = Instant::now() + timeout;
-        let mut pending = Vec::with_capacity(rows.len());
-        for row in rows {
-            match self.engine.submit(row) {
-                Ok(p) => pending.push(p),
-                Err(e) => {
-                    if matches!(e, ServeError::QueueFull { .. }) {
-                        // Raced past the watermark; counts as shed.
-                        self.admission.note_shed();
-                    }
-                    // Abandoned waiters resolve internally; their slots
-                    // just drop.
-                    return Err(e);
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(pending.len());
-        for p in pending {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            out.push(p.wait_timeout(remaining)?);
-        }
-        if let Some(shadow) = self.shadow.lock().as_ref() {
-            for (row, &live) in rows.iter().zip(&out) {
-                shadow.offer(row, live);
-            }
-        }
-        self.scored.fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
-    }
-
-    /// K-wide twin of [`score`](ModelEntry::score): the same breaker and
-    /// admission gauntlet, but rows are scored synchronously through the
-    /// engine's direct path into row-major `[rows × n_classes]`
-    /// distributions (full distributions do not flow through the scalar
-    /// batching queue, so no per-row deadline applies). Shadow mirrors
-    /// compare scalar scores only and are skipped here.
-    pub fn score_classes(self: &Arc<Self>, rows: &[Vec<f64>]) -> Result<Vec<f64>, ServeError> {
-        self.breaker.admit()?;
-        let outcome = self.score_classes_admitted(rows);
-        match &outcome {
-            Ok(_) => {
-                self.breaker.record(true);
-            }
-            Err(e) => match e {
-                ServeError::Corrupt(_) | ServeError::Shutdown | ServeError::EngineStopped => {
-                    self.scoring_failures.fetch_add(1, Ordering::Relaxed);
-                    self.note_failure();
-                }
-                _ => {
-                    self.breaker.record(true);
-                }
-            },
-        }
-        outcome
-    }
-
-    fn score_classes_admitted(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, ServeError> {
-        self.admission
-            .check(self.engine.queue_depth(), rows.len())?;
+    /// [`score_request`](Self::score_request) over rows held one `Vec`
+    /// each: a flattening adapter for in-process callers.
+    pub fn score(
+        self: &Arc<Self>,
+        rows: &[Vec<f64>],
+        timeout: Duration,
+    ) -> Result<Vec<f64>, ServeError> {
         let width = self.engine.n_features();
-        let mut flat = Vec::with_capacity(rows.len() * width);
-        for row in rows {
-            if row.len() != width {
-                return Err(ServeError::RowWidthMismatch {
-                    expected: width,
-                    got: row.len(),
-                });
-            }
-            flat.extend_from_slice(row);
+        if let Some(row) = rows.iter().find(|row| row.len() != width) {
+            return Err(ServeError::RowWidthMismatch {
+                expected: width,
+                got: row.len(),
+            });
         }
-        let mut out = vec![0.0; rows.len() * self.engine.n_classes()];
-        self.engine
-            .score_classes_into(MatrixView::from_slice(&flat, rows.len(), width), &mut out)?;
-        self.scored.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        self.score_request(Matrix::from_vec(rows.len(), width, rows.concat()), timeout)
+    }
+
+    fn score_admitted(&self, x: Matrix, timeout: Duration) -> Result<Vec<f64>, ServeError> {
+        let rows = x.rows();
+        self.admission.check(self.engine.queue_depth(), rows)?;
+        let deadline = Instant::now() + timeout;
+        // The job owns its rows; keep a copy only for a shadow to see,
+        // made outside the shadow lock so concurrent requests never
+        // queue behind one another's copies.
+        let shadowed = self.shadow.lock().is_some();
+        let mirror = shadowed.then(|| x.clone());
+        let scores = match self.engine.submit(x, deadline) {
+            Ok(job) => job.wait()?,
+            Err(e) => {
+                if matches!(e, ServeError::QueueFull { .. }) {
+                    // Raced past the watermark; counts as shed.
+                    self.admission.note_shed();
+                }
+                return Err(e);
+            }
+        };
+        if let (Some(x), Some(shadow)) = (mirror, self.shadow.lock().as_ref()) {
+            let width = self.engine.scores_per_row();
+            for (row, live) in x.iter_rows().zip(scores.chunks_exact(width)) {
+                // A k-wide row mirrors its scalar view 1 − p₀, the value
+                // a k-class candidate's `predict_proba_view` gives.
+                shadow.offer(row, if width == 1 { live[0] } else { 1.0 - live[0] });
+            }
+        }
+        self.scored.fetch_add(rows as u64, Ordering::Relaxed);
+        Ok(scores)
     }
 
     /// Feeds a failure to the breaker; a trip kicks off self-healing.
@@ -596,7 +566,6 @@ mod tests {
         config.engine = EngineConfig::builder()
             .max_batch(4)
             .queue_capacity(8)
-            .max_delay(Duration::from_millis(1))
             .build()
             .unwrap_or_else(|e| panic!("{e}"));
         config.breaker = BreakerConfig {
@@ -805,13 +774,13 @@ mod tests {
         let m = reg.get("m").unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(m.snapshot().n_classes, 3);
         assert_eq!(
-            m.score_classes(&rows(2)),
+            m.score(&rows(2), Duration::from_secs(5)),
             Ok(vec![0.2, 0.3, 0.5, 0.2, 0.3, 0.5])
         );
         assert_eq!(m.snapshot().scored, 2);
         // Row width is still vetted per row.
         assert_eq!(
-            m.score_classes(&[vec![0.0]]),
+            m.score(&[vec![0.0, 0.0], vec![0.0]], Duration::from_secs(5)),
             Err(ServeError::RowWidthMismatch {
                 expected: 2,
                 got: 1
@@ -826,7 +795,10 @@ mod tests {
                 got: 2
             })
         );
-        assert_eq!(m.score_classes(&rows(1)), Ok(vec![0.2, 0.3, 0.5]));
+        assert_eq!(
+            m.score(&rows(1), Duration::from_secs(5)),
+            Ok(vec![0.2, 0.3, 0.5])
+        );
         std::fs::remove_file(&path).unwrap_or_else(|e| panic!("{e}"));
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The flow mirrors a production fraud pipeline: fit SPE on yesterday's
 //! transactions, save the model to disk, load it in a serving process,
-//! score traffic through the micro-batching [`ScoringEngine`], then
+//! score traffic through the request-batching [`ScoringEngine`], then
 //! retrain on fresh data and hot-swap the new model under live load.
 //!
 //! ```sh
@@ -11,6 +11,7 @@
 //! ```
 
 use spe::prelude::*;
+use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let day1 = credit_fraud_sim(20_000, 7);
@@ -56,18 +57,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = ScoringEngine::start(Box::new(loaded), day2.x().cols(), serve_cfg)?;
     println!("engine backend: {:?}", engine.backend());
 
-    // Online traffic: single-row submissions coalesce into batches.
-    let pending: Vec<_> = (0..256)
-        .map(|i| engine.submit(day2.x().row(i)))
+    // Online traffic: each request is one job of whole rows, answered
+    // by its deadline. The kernel takes a job at once when idle; jobs
+    // that queue behind a busy kernel are packed into one block.
+    let deadline = Instant::now() + Duration::from_millis(500);
+    let pending: Vec<_> = (0..16)
+        .map(|i| engine.submit(day2.x().row_range(i * 16..(i + 1) * 16), deadline))
         .collect::<Result<_, _>>()?;
     let frauds_flagged = pending
         .into_iter()
-        .map(PendingScore::wait)
+        .map(PendingJob::wait)
         .collect::<Result<Vec<_>, _>>()?
+        .concat()
         .iter()
         .filter(|&&p| p >= 0.5)
         .count();
-    println!("online path: scored 256 rows, {frauds_flagged} flagged");
+    println!("online path: scored 256 rows in 16 jobs, {frauds_flagged} flagged");
 
     // Bulk traffic: whole matrices bypass the queue and fan out across
     // the shared thread pool directly.
@@ -82,12 +87,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // finish on the old model, later batches see the new one.
     let retrained = cfg.try_fit_dataset(&day2, 43)?;
     engine.swap_model(Box::new(retrained))?;
-    let p = engine.submit(day2.x().row(0))?.wait()?;
-    println!("after hot swap: first row scores {p:.3}");
+    let deadline = Instant::now() + Duration::from_millis(500);
+    let p = engine.submit(day2.x().row_range(0..1), deadline)?.wait()?;
+    println!("after hot swap: first row scores {:.3}", p[0]);
 
     let stats = engine.stats();
     println!(
-        "stats: {} requests in {} batches (+{} direct rows), \
+        "stats: {} queued rows in {} blocks (+{} direct rows), \
          queue high-water {}, batch latency p50 {}us p99 {}us, {} swap(s)",
         stats.requests,
         stats.batches,

@@ -102,7 +102,7 @@ pub mod prelude {
     };
     pub use spe_serve::{
         load_envelope, load_model, load_model_expecting, load_spe, save_model, EngineConfig,
-        EngineConfigBuilder, ModelEnvelope, PendingScore, QuantizedModel, ScoreBackend,
+        EngineConfigBuilder, ModelEnvelope, PendingJob, QuantizedModel, ScoreBackend,
         ScoringEngine, ServeError, ServeStats,
     };
 }

@@ -22,12 +22,12 @@ fn overlapping(n_pos: usize, n_neg: usize, seed: u64) -> Dataset {
     let mut y = Vec::new();
     for _ in 0..n_neg {
         x.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]);
-        y.push(0);
     }
+    y.resize(y.len() + n_neg, 0);
     for _ in 0..n_pos {
         x.push_row(&[rng.normal(1.2, 1.0), rng.normal(1.2, 1.0)]);
-        y.push(1);
     }
+    y.resize(y.len() + n_pos, 1);
     Dataset::new(x, y)
 }
 

@@ -133,14 +133,14 @@ proptest! {
 /// failure is reported in its place.
 #[test]
 fn out_of_range_max_bins_is_invalid_config_at_every_entry_point() {
+    fn base(max_bins: usize) -> SharedLearner {
+        std::sync::Arc::new(DecisionTreeConfig {
+            max_bins,
+            ..tree(SplitMethod::Histogram)
+        })
+    }
     fn spe(max_bins: usize) -> SelfPacedEnsembleConfig {
-        SelfPacedEnsembleConfig::with_base(
-            4,
-            std::sync::Arc::new(DecisionTreeConfig {
-                max_bins,
-                ..tree(SplitMethod::Histogram)
-            }),
-        )
+        SelfPacedEnsembleConfig::with_base(4, base(max_bins))
     }
     fn multi(max_bins: usize, strategy: MultiClassStrategy) -> MultiClassSpeConfig {
         MultiClassSpeConfig {
@@ -150,7 +150,7 @@ fn out_of_range_max_bins_is_invalid_config_at_every_entry_point() {
         }
     }
     type Entry = fn(usize, &Dataset, &Dataset) -> Result<(), SpeError>;
-    let entries: [(&str, Entry); 10] = [
+    let entries: [(&str, Entry); 17] = [
         ("builder", |b, _, _| {
             SelfPacedEnsembleBuilder::new()
                 .base(spe(b).base)
@@ -205,6 +205,52 @@ fn out_of_range_max_bins_is_invalid_config_at_every_entry_point() {
                 split_method: SplitMethod::Histogram,
                 max_bins: b,
                 ..GbdtConfig::new(3)
+            }
+            .try_fit(d.x(), d.y(), 1)
+            .map(drop)
+        }),
+        ("adaboost", |b, d, _| {
+            AdaBoostConfig::with_base(3, base(b))
+                .try_fit(d.x(), d.y(), 1)
+                .map(drop)
+        }),
+        ("bagging", |b, d, _| {
+            BaggingConfig::with_base(3, base(b))
+                .try_fit(d.x(), d.y(), 1)
+                .map(drop)
+        }),
+        ("cascade", |b, d, _| {
+            BalanceCascade::with_base(3, base(b))
+                .try_fit(d.x(), d.y(), 1)
+                .map(drop)
+        }),
+        ("under-bagging", |b, d, _| {
+            UnderBagging::with_base(3, base(b))
+                .try_fit(d.x(), d.y(), 1)
+                .map(drop)
+        }),
+        ("smote-bagging", |b, d, _| {
+            SmoteBagging {
+                n_estimators: 3,
+                base: base(b),
+                k: 5,
+            }
+            .try_fit(d.x(), d.y(), 1)
+            .map(drop)
+        }),
+        ("rusboost", |b, d, _| {
+            RusBoost {
+                n_rounds: 3,
+                base: base(b),
+            }
+            .try_fit(d.x(), d.y(), 1)
+            .map(drop)
+        }),
+        ("smoteboost", |b, d, _| {
+            SmoteBoost {
+                n_rounds: 3,
+                base: base(b),
+                k: 5,
             }
             .try_fit(d.x(), d.y(), 1)
             .map(drop)

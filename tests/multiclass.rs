@@ -125,7 +125,7 @@ proptest! {
 /// cut out, the version is stamped back to 1 and the checksum re-done —
 /// exactly the layout every pre-multi-class build wrote.
 fn as_v1_bytes(v2: &[u8]) -> Vec<u8> {
-    assert!(FORMAT_VERSION >= 2, "surgery assumes a v2 writer");
+    const { assert!(FORMAT_VERSION >= 2, "surgery assumes a v2 writer") };
     let mut v1 = Vec::with_capacity(v2.len() - 4);
     v1.extend_from_slice(&v2[..MAGIC.len()]);
     v1.extend_from_slice(&1u32.to_le_bytes());

@@ -15,16 +15,16 @@ fn imbalanced(seed: u64) -> Dataset {
             rng.normal(0.0, 1.0),
             rng.normal(0.0, 1.0),
         ]);
-        y.push(0);
     }
+    y.resize(y.len() + 300, 0);
     for _ in 0..30 {
         x.push_row(&[
             rng.normal(2.0, 0.6),
             rng.normal(2.0, 0.6),
             rng.normal(-1.5, 0.6),
         ]);
-        y.push(1);
     }
+    y.resize(y.len() + 30, 1);
     Dataset::new(x, y)
 }
 

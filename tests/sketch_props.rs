@@ -170,7 +170,7 @@ proptest! {
         for (b, &cut) in cuts.iter().enumerate() {
             // -0.0 is normalized to +0.0 in grids; compare by value.
             prop_assert!(
-                sorted.iter().any(|&v| v == cut),
+                sorted.contains(&cut),
                 "cut {cut} is not a data value"
             );
             // Equi-depth target for this cut index (cuts can be
