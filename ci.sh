@@ -59,7 +59,7 @@ echo "==> spe_score chunked round trip (CSV stream vs packed shards must fit ide
 cargo build --release -p spe-serve --bin spe_score
 ooc_dir="$(mktemp -d)"
 spe_score_bin="$repo_root/target/release/spe_score"
-"$spe_score_bin" gen  --out "$ooc_dir/data.csv" --rows 4000 --seed 9
+"$spe_score_bin" gen  --out "$ooc_dir/data.csv" --rows 20000 --seed 9
 "$spe_score_bin" pack --input "$ooc_dir/data.csv" --out "$ooc_dir/shards" --rows-per-shard 700
 "$spe_score_bin" fit-save --train "$ooc_dir/data.csv" --out "$ooc_dir/csv.spe" \
                           --chunked --chunk-rows 700 --members 5

@@ -87,6 +87,16 @@ impl Chunk {
         self.y.push(label);
     }
 
+    /// Appends one row per label in `labels`, the rows' features read
+    /// from `features` as little-endian `f64`s, row after row.
+    ///
+    /// # Panics
+    /// Panics if `features` does not hold exactly `labels.len()` rows.
+    pub(crate) fn extend_from_le_bytes(&mut self, labels: &[u8], features: &[u8]) {
+        self.x.extend_from_le_bytes(labels.len(), features);
+        self.y.extend_from_slice(labels);
+    }
+
     /// Removes every row, keeping allocations for the next fill.
     pub fn clear(&mut self) {
         self.x.clear_rows();

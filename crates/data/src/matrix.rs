@@ -155,6 +155,21 @@ impl Matrix {
         self.rows += 1;
     }
 
+    /// Appends `rows` rows held in `bytes` as little-endian `f64`s, row
+    /// after row — one bulk pass for a whole block of rows.
+    ///
+    /// # Panics
+    /// Panics if `bytes` does not hold exactly `rows` rows.
+    pub(crate) fn extend_from_le_bytes(&mut self, rows: usize, bytes: &[u8]) {
+        assert_eq!(bytes.len(), rows * self.cols * 8, "whole rows of f64s");
+        self.data.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().unwrap())),
+        );
+        self.rows += rows;
+    }
+
     /// Copies the contiguous row range `range` into a new matrix.
     ///
     /// Row-major layout makes this a single memcpy; parallel predictors

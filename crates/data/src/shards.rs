@@ -4,27 +4,48 @@
 //! `shard_NNNNN.bin` files, each a self-contained block of labelled
 //! rows. Re-streaming a big CSV re-parses every cell on every pass;
 //! packing it into shards once makes later passes a straight `f64`
-//! memcpy with integrity checking.
+//! copy with integrity checking.
 //!
-//! Shard file layout (little-endian):
+//! Shard file layout, format version 2 (little-endian):
 //!
 //! ```text
 //! magic    4 B   "SPSH"
-//! version  4 B   u32 (currently 1)
+//! version  4 B   u32 (currently 2)
 //! n_rows   8 B   u64
 //! n_feat   4 B   u32
 //! labels   n_rows B
 //! features n_rows * n_feat * 8 B  row-major f64
-//! checksum 8 B   FNV-1a over everything above
+//! checksum 8 B   over everything above (see below)
 //! ```
 //!
-//! [`ShardReader`] implements [`ChunkedSource`] (one shard per chunk)
-//! and verifies the checksum, magic, version and dimensions of every
-//! shard, surfacing any mismatch as [`SpeError::ShardCorrupt`] with the
-//! offending path.
+//! The checksum applies the step `h = rotl32((h ^ x) · P)` (FNV-1a's
+//! step, then a rotation by 32 bits) to the payload's little-endian
+//! `u64` words in four interleaved lanes (word `j` feeds lane `j % 4`;
+//! lane `i` starts at the FNV offset basis xor `i`). It then folds the
+//! four lanes, the bytes after the last whole 32-byte block and the
+//! payload length, in that order, into one more state by the same step.
+//! For a fixed word each step is a bijection of the lane state, and the
+//! fold is a bijection in each lane, so any single-byte change still
+//! changes the checksum, as with byte-wise FNV-1a, while four
+//! independent multiply chains run at memory speed. The rotation moves
+//! the product's high half, which depends on every input bit, down to
+//! where the next multiply spreads it: without it a word's top bit
+//! would reach only the top bit of its product, and any even number of
+//! top-bit flips would cancel.
+//!
+//! Version 1 shards carried byte-wise FNV-1a and are not read: a shard
+//! set is a derived cache of its source, so a version 1 set is
+//! rejected with [`SpeError::ShardCorrupt`] and must be re-packed
+//! (`spe_score pack`).
+//!
+//! [`ShardReader`] implements [`ChunkedSource`] (one shard per chunk).
+//! Every read verifies the magic, version, dimensions, length and
+//! checksum of the shard, surfacing any mismatch as
+//! [`SpeError::ShardCorrupt`] with the offending path, then appends
+//! the labels and features to the chunk in one bulk pass.
 
 use std::fs::{self, File};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::chunked::{Chunk, ChunkedSource};
@@ -33,19 +54,39 @@ use crate::error::SpeError;
 /// Leading magic bytes of every shard file.
 pub const SHARD_MAGIC: [u8; 4] = *b"SPSH";
 /// Current shard format version.
-pub const SHARD_VERSION: u32 = 1;
+pub const SHARD_VERSION: u32 = 2;
 const MANIFEST_NAME: &str = "manifest.txt";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// Bytes of the fixed shard header (magic, version, rows, features).
+const HEADER_BYTES: usize = 20;
+
+/// The shard checksum of `payload` (see the [module docs](self)).
+fn checksum(payload: &[u8]) -> u64 {
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(FNV_PRIME).rotate_left(32);
+    let mut lanes: [u64; 4] = std::array::from_fn(|i| FNV_OFFSET ^ i as u64);
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+        }
     }
-    h
+    let tail = blocks.remainder().iter().map(|&b| u64::from(b));
+    lanes
+        .into_iter()
+        .chain(tail)
+        .chain([payload.len() as u64])
+        .fold(FNV_OFFSET, step)
+}
+
+/// Re-pack advice carried by every version error.
+fn version_error(found: u64) -> String {
+    format!(
+        "unsupported shard version {found} (expected {SHARD_VERSION}); \
+         re-pack the source with `spe_score pack`"
+    )
 }
 
 fn shard_path(dir: &Path, index: usize) -> PathBuf {
@@ -105,10 +146,7 @@ impl ShardManifest {
         };
         let version = get("spe-shards")?;
         if version != u64::from(SHARD_VERSION) {
-            return Err(corrupt(
-                &path,
-                format!("unsupported shard version {version} (expected {SHARD_VERSION})"),
-            ));
+            return Err(corrupt(&path, version_error(version)));
         }
         Ok(Self {
             n_features: get("features")? as usize,
@@ -195,7 +233,8 @@ impl ShardWriter {
 
     fn flush_shard(&mut self) -> Result<(), SpeError> {
         let n_rows = self.buf_y.len() as u64;
-        let mut payload = Vec::with_capacity(20 + self.buf_y.len() + self.buf_x.len() * 8);
+        let mut payload =
+            Vec::with_capacity(HEADER_BYTES + self.buf_y.len() + self.buf_x.len() * 8);
         payload.extend_from_slice(&SHARD_MAGIC);
         payload.extend_from_slice(&SHARD_VERSION.to_le_bytes());
         payload.extend_from_slice(&n_rows.to_le_bytes());
@@ -204,10 +243,10 @@ impl ShardWriter {
         for v in &self.buf_x {
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        let checksum = fnv1a(FNV_OFFSET, &payload);
+        let sum = checksum(&payload);
         let mut file = File::create(shard_path(&self.dir, self.n_shards))?;
         file.write_all(&payload)?;
-        file.write_all(&checksum.to_le_bytes())?;
+        file.write_all(&sum.to_le_bytes())?;
         self.n_shards += 1;
         self.buf_x.clear();
         self.buf_y.clear();
@@ -254,62 +293,70 @@ impl ShardReader {
         &self.manifest
     }
 
+    /// Reads shard `index` into `out`. The file's bytes live only for
+    /// this call, so the reader holds no shard-sized buffer between
+    /// chunks.
     fn read_shard(&self, index: usize, out: &mut Chunk) -> Result<(), SpeError> {
         let path = shard_path(&self.dir, index);
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < 28 {
-            return Err(corrupt(&path, "file too short for a shard header"));
-        }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(FNV_OFFSET, payload) != stored {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if payload[..4] != SHARD_MAGIC {
-            return Err(corrupt(&path, "bad magic bytes"));
-        }
-        let version = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-        if version != SHARD_VERSION {
-            return Err(corrupt(&path, format!("unsupported version {version}")));
-        }
-        let n_rows = u64::from_le_bytes(payload[8..16].try_into().unwrap()) as usize;
-        let n_features = u32::from_le_bytes(payload[16..20].try_into().unwrap()) as usize;
-        if n_features != self.manifest.n_features {
-            return Err(corrupt(
-                &path,
-                format!(
-                    "shard has {n_features} features, manifest says {}",
-                    self.manifest.n_features
-                ),
-            ));
-        }
-        let body = &payload[20..];
-        let expect = n_rows + n_rows * n_features * 8;
-        if body.len() != expect {
-            return Err(corrupt(
-                &path,
-                format!("payload is {} bytes, expected {expect}", body.len()),
-            ));
-        }
-        let (labels, features) = body.split_at(n_rows);
-        let mut row = vec![0.0f64; n_features];
-        for (r, &label) in labels.iter().enumerate() {
-            let base = r * n_features * 8;
-            for (f, slot) in row.iter_mut().enumerate() {
-                let off = base + f * 8;
-                *slot = f64::from_le_bytes(features[off..off + 8].try_into().unwrap());
-            }
-            if label > 1 {
-                return Err(corrupt(
-                    &path,
-                    format!("label {label} at row {r} is not 0/1"),
-                ));
-            }
-            out.push_row(&row, label);
-        }
-        Ok(())
+        let bytes = fs::read(&path)?;
+        decode_shard(&path, &bytes, self.manifest.n_features, out)
     }
+}
+
+/// Verifies one shard file's bytes and appends its rows to `out`.
+fn decode_shard(
+    path: &Path,
+    bytes: &[u8],
+    n_features: usize,
+    out: &mut Chunk,
+) -> Result<(), SpeError> {
+    if bytes.len() < HEADER_BYTES + 8 {
+        return Err(corrupt(path, "file too short for a shard header"));
+    }
+    let (payload, tail) = bytes.split_at(bytes.len() - 8);
+    if payload[..4] != SHARD_MAGIC {
+        return Err(corrupt(path, "bad magic bytes"));
+    }
+    let version = u32::from_le_bytes(payload[4..8].try_into().unwrap());
+    if version != SHARD_VERSION {
+        return Err(corrupt(path, version_error(version.into())));
+    }
+    if checksum(payload) != u64::from_le_bytes(tail.try_into().unwrap()) {
+        return Err(corrupt(path, "checksum mismatch"));
+    }
+    let n_rows = u64::from_le_bytes(payload[8..16].try_into().unwrap());
+    let shard_features = u32::from_le_bytes(payload[16..20].try_into().unwrap()) as usize;
+    if shard_features != n_features {
+        return Err(corrupt(
+            path,
+            format!("shard has {shard_features} features, manifest says {n_features}"),
+        ));
+    }
+    let body = &payload[HEADER_BYTES..];
+    // The header is untrusted: a row count near u64::MAX must be a
+    // typed error, not an overflow.
+    let expect = usize::try_from(n_rows)
+        .ok()
+        .and_then(|n| n.checked_mul(n_features)?.checked_mul(8)?.checked_add(n));
+    if expect != Some(body.len()) {
+        return Err(corrupt(
+            path,
+            format!(
+                "payload is {} bytes, header says {n_rows} rows of {n_features} features",
+                body.len()
+            ),
+        ));
+    }
+    let n_rows = n_rows as usize;
+    let (labels, features) = body.split_at(n_rows);
+    if let Some(r) = labels.iter().position(|&label| label > 1) {
+        return Err(corrupt(
+            path,
+            format!("label {} at row {r} is not 0/1", labels[r]),
+        ));
+    }
+    out.extend_from_le_bytes(labels, features);
+    Ok(())
 }
 
 impl ChunkedSource for ShardReader {
@@ -452,6 +499,109 @@ mod tests {
             ShardReader::open(&dir),
             Err(SpeError::ShardCorrupt { .. })
         ));
+        // A set packed in format version 1 asks to be re-packed.
+        fs::write(
+            dir.join(MANIFEST_NAME),
+            "spe-shards 1\nfeatures 2\nrows_per_shard 10\ntotal_rows 10\nshards 1\n",
+        )
+        .unwrap();
+        match ShardReader::open(&dir) {
+            Err(SpeError::ShardCorrupt { reason, .. }) => {
+                assert!(reason.contains("version 1"), "{reason}");
+                assert!(reason.contains("spe_score pack"), "{reason}");
+            }
+            other => panic!("expected ShardCorrupt, got {:?}", other.map(|_| ())),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A shard file with the given header and body and a valid checksum.
+    fn shard_bytes(n_rows: u64, n_features: u32, body: &[u8]) -> Vec<u8> {
+        let mut bytes = SHARD_MAGIC.to_vec();
+        bytes.extend_from_slice(&SHARD_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&n_rows.to_le_bytes());
+        bytes.extend_from_slice(&n_features.to_le_bytes());
+        bytes.extend_from_slice(body);
+        let sum = checksum(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    fn decode(bytes: &[u8], n_features: usize) -> Result<Chunk, SpeError> {
+        let mut chunk = Chunk::new(n_features);
+        decode_shard(Path::new("shard_00000.bin"), bytes, n_features, &mut chunk)?;
+        Ok(chunk)
+    }
+
+    fn corrupt_reason(result: Result<Chunk, SpeError>) -> String {
+        match result {
+            Err(SpeError::ShardCorrupt { reason, .. }) => reason,
+            Err(other) => panic!("expected ShardCorrupt, got {other:?}"),
+            Ok(chunk) => panic!("expected ShardCorrupt, decoded {} rows", chunk.rows()),
+        }
+    }
+
+    #[test]
+    fn huge_header_row_count_is_typed_not_an_overflow() {
+        let bytes = shard_bytes(u64::MAX / 2, 2, &[0; 17]);
+        let reason = corrupt_reason(decode(&bytes, 2));
+        assert!(reason.contains("header says"), "{reason}");
+    }
+
+    #[test]
+    fn bad_label_names_its_row() {
+        let mut body = vec![0, 1, 0, 2, 1];
+        body.extend((0..10).flat_map(|i| f64::from(i).to_le_bytes()));
+        let reason = corrupt_reason(decode(&shard_bytes(5, 2, &body), 2));
+        assert_eq!(reason, "label 2 at row 3 is not 0/1");
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_detected() {
+        let dir = tmp_dir("flips");
+        let data = sample_dataset(3, 2, 4);
+        pack_source(&mut DatasetChunks::new(&data, 3), &dir, 3).unwrap();
+        let bytes = fs::read(shard_path(&dir, 0)).unwrap();
+        assert_eq!(bytes.len(), HEADER_BYTES + 3 + 3 * 2 * 8 + 8);
+        let chunk = decode(&bytes, 2).unwrap();
+        assert_eq!(chunk.x().as_slice(), data.x().as_slice());
+        assert_eq!(chunk.y(), data.y());
+        // Header, labels, features and the stored checksum alike.
+        for i in 0..bytes.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= mask;
+                corrupt_reason(decode(&flipped, 2));
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn paired_top_bit_flips_are_detected() {
+        // Bit 7 of a byte at payload offset 8j + 7 is the top bit of
+        // checksum word j. Two such flips, in one lane (32 bytes apart)
+        // or across lanes (8 bytes apart), must not cancel. Word 0 ends
+        // in the version, which is checked before the checksum.
+        let dir = tmp_dir("top_bits");
+        let data = sample_dataset(11, 3, 5);
+        pack_source(&mut DatasetChunks::new(&data, 11), &dir, 11).unwrap();
+        let bytes = fs::read(shard_path(&dir, 0)).unwrap();
+        let whole_blocks = (bytes.len() - 8) / 32 * 32;
+        assert!(whole_blocks >= 256, "{whole_blocks}");
+        let top_bytes: Vec<usize> = (15..whole_blocks).step_by(8).collect();
+        for (k, &i) in top_bytes.iter().enumerate() {
+            for &j in &top_bytes[k + 1..] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 0x80;
+                flipped[j] ^= 0x80;
+                assert_eq!(
+                    corrupt_reason(decode(&flipped, 3)),
+                    "checksum mismatch",
+                    "flips at {i} and {j}"
+                );
+            }
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,7 +5,13 @@
 //! items. When a level overflows its capacity `k` the buffer is sorted
 //! and every other value survives (with doubled weight) into the level
 //! above, alternating which parity survives so errors cancel in
-//! expectation. Each compaction of level `l` perturbs any rank query by
+//! expectation. Levels store each value as its `u64` total-order key
+//! (sign bit set for a non-negative, every bit flipped for a negative),
+//! so a compaction sorts plain `u64`s with the standard library's
+//! stable sort, which also merges the sorted survivor runs that the
+//! compactions below a level append to it. Equal keys are equal bits,
+//! so the sort gives the one order `f64::total_cmp` gives. Each
+//! compaction of level `l` perturbs any rank query by
 //! at most `2^l`, so the sketch carries a *provable* worst-case rank
 //! error: the running sum of `2^l` over every compaction it (or any
 //! sketch merged into it) ever performed, exposed as
@@ -37,9 +43,9 @@ pub const DEFAULT_SKETCH_CAPACITY: usize = 4096;
 pub struct QuantileSketch {
     /// Per-level buffer capacity (even, at least 8).
     capacity: usize,
-    /// `levels[l]` holds values of weight `2^l`, unsorted between
-    /// compactions.
-    levels: Vec<Vec<f64>>,
+    /// `levels[l]` holds the [`key`]s of values of weight `2^l`,
+    /// unsorted between compactions.
+    levels: Vec<Vec<u64>>,
     /// Finite values inserted (true total weight).
     count: u64,
     /// Non-finite values seen and skipped.
@@ -79,7 +85,7 @@ impl QuantileSketch {
             return;
         }
         self.count += 1;
-        self.levels[0].push(v);
+        self.levels[0].push(key(v));
         if self.levels[0].len() >= self.capacity {
             self.compact_cascade(0);
         }
@@ -147,7 +153,7 @@ impl QuantileSketch {
                 self.levels.push(Vec::new());
             }
             let mut buf = std::mem::take(&mut self.levels[l]);
-            buf.sort_unstable_by(|a, b| a.total_cmp(b));
+            buf.sort();
             let offset = usize::from(self.parity);
             self.parity = !self.parity;
             self.levels[l + 1].extend(buf.iter().skip(offset).step_by(2).copied());
@@ -157,17 +163,17 @@ impl QuantileSketch {
         }
     }
 
-    /// The sketch's weighted summary, sorted ascending:
+    /// The sketch's weighted summary, sorted ascending (ties by weight):
     /// `(value, weight)` pairs whose weights sum to roughly
     /// [`count`](Self::count) (within the error bound).
     pub fn summary(&self) -> Vec<(f64, u64)> {
-        let mut items: Vec<(f64, u64)> = Vec::new();
+        let mut items: Vec<(u64, u64)> = Vec::new();
         for (l, buf) in self.levels.iter().enumerate() {
             let w = 1u64 << l;
-            items.extend(buf.iter().map(|&v| (v, w)));
+            items.extend(buf.iter().map(|&k| (k, w)));
         }
-        items.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        items
+        items.sort_unstable();
+        items.into_iter().map(|(k, w)| (value(k), w)).collect()
     }
 
     /// Estimated number of inserted finite values `<= v`. Exact when no
@@ -179,7 +185,7 @@ impl QuantileSketch {
             .enumerate()
             .map(|(l, buf)| {
                 let w = 1u64 << l;
-                buf.iter().filter(|&&x| x <= v).count() as u64 * w
+                buf.iter().filter(|&&k| value(k) <= v).count() as u64 * w
             })
             .sum()
     }
@@ -257,8 +263,27 @@ impl Default for QuantileSketch {
     }
 }
 
-/// Maps `-0.0` to `+0.0` (cut grids must be `-0.0`-free for the
-/// branchless encoder's IEEE comparisons to match `total_cmp`).
+/// The total-order key of `v`: unsigned comparison of keys is
+/// `f64::total_cmp` of values (flip every bit of a negative, the sign
+/// bit of a non-negative), and equal keys are equal bits.
+#[inline]
+fn key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The value whose [`key`] is `k`.
+#[inline]
+fn value(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
+/// Maps `-0.0` to `+0.0` (cut grids are `-0.0`-free, as
+/// [`encode_batch_into`](crate::encode_batch_into) requires).
 #[inline]
 fn normalize_zero(v: f64) -> f64 {
     if v == 0.0 {
@@ -272,6 +297,184 @@ fn normalize_zero(v: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::SeededRng;
+    use proptest::prelude::*;
+
+    /// The sketch with the compaction it had before the key sort: `f64`
+    /// levels, each compaction a `sort_unstable_by(total_cmp)` of the
+    /// taken buffer. Insert, merge and cascade mirror `QuantileSketch`.
+    struct Reference {
+        capacity: usize,
+        levels: Vec<Vec<f64>>,
+        count: u64,
+        non_finite: u64,
+        err: u64,
+        parity: bool,
+    }
+
+    impl Reference {
+        fn new(capacity: usize) -> Self {
+            Self {
+                capacity: capacity.max(8).next_multiple_of(2),
+                levels: vec![Vec::new()],
+                count: 0,
+                non_finite: 0,
+                err: 0,
+                parity: false,
+            }
+        }
+
+        fn insert(&mut self, v: f64) {
+            if !v.is_finite() {
+                self.non_finite += 1;
+                return;
+            }
+            self.count += 1;
+            self.levels[0].push(v);
+            if self.levels[0].len() >= self.capacity {
+                self.compact_cascade(0);
+            }
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            while self.levels.len() < other.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            for (l, buf) in other.levels.iter().enumerate() {
+                self.levels[l].extend_from_slice(buf);
+            }
+            self.count += other.count;
+            self.non_finite += other.non_finite;
+            self.err += other.err;
+            for l in 0..self.levels.len() {
+                if self.levels[l].len() >= self.capacity {
+                    self.compact_cascade(l);
+                }
+            }
+        }
+
+        fn compact_cascade(&mut self, mut l: usize) {
+            while self.levels[l].len() >= self.capacity {
+                if l + 1 == self.levels.len() {
+                    self.levels.push(Vec::new());
+                }
+                let mut buf = std::mem::take(&mut self.levels[l]);
+                buf.sort_unstable_by(|a, b| a.total_cmp(b));
+                let offset = usize::from(self.parity);
+                self.parity = !self.parity;
+                self.levels[l + 1].extend(buf.iter().skip(offset).step_by(2).copied());
+                self.err += 1u64 << l;
+                l += 1;
+            }
+        }
+
+        /// The same state as a sketch, whose read side then answers for it.
+        fn to_sketch(&self) -> QuantileSketch {
+            QuantileSketch {
+                capacity: self.capacity,
+                levels: self
+                    .levels
+                    .iter()
+                    .map(|buf| buf.iter().map(|&v| key(v)).collect())
+                    .collect(),
+                count: self.count,
+                non_finite: self.non_finite,
+                err: self.err,
+                parity: self.parity,
+            }
+        }
+    }
+
+    /// Streams with heavy duplication, both zeros, NaN and both
+    /// infinities (the draw picks the kind).
+    fn stream() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec((0u8..10, -50.0f64..50.0), 0..700).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(kind, v)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    5 | 6 => v.round(),
+                    _ => v,
+                })
+                .collect()
+        })
+    }
+
+    fn bits(summary: Vec<(f64, u64)>) -> Vec<(u64, u64)> {
+        summary.into_iter().map(|(v, w)| (v.to_bits(), w)).collect()
+    }
+
+    fn grid_bits(sk: &QuantileSketch, max_bins: usize) -> Vec<u64> {
+        sk.cut_grid(max_bins).iter().map(|c| c.to_bits()).collect()
+    }
+
+    proptest! {
+        // Part of the stream goes in by `insert`, part by `insert_slice`
+        // and part through a second sketch that is then merged in; the
+        // key-sorted compactions must reproduce the reference's levels
+        // and everything read from them, bit for bit.
+        #[test]
+        fn key_sorted_compactions_match_the_total_cmp_reference(
+            (vals, cap, other_cap, cut_a, cut_b) in (stream(), 8usize..64, 8usize..64, 0.0f64..1.0, 0.0f64..1.0)
+        ) {
+            let a = (cut_a * vals.len() as f64) as usize;
+            let b = a + (cut_b * (vals.len() - a) as f64) as usize;
+            let mut sk = QuantileSketch::with_capacity(cap);
+            let mut reference = Reference::new(cap);
+            for &v in &vals[..a] {
+                sk.insert(v);
+                reference.insert(v);
+            }
+            sk.insert_slice(&vals[a..b]);
+            let mut other = QuantileSketch::with_capacity(other_cap);
+            other.insert_slice(&vals[b..]);
+            sk.merge(&other);
+            let mut other_reference = Reference::new(other_cap);
+            for &v in &vals[a..b] {
+                reference.insert(v);
+            }
+            for &v in &vals[b..] {
+                other_reference.insert(v);
+            }
+            reference.merge(&other_reference);
+            let reference = reference.to_sketch();
+
+            prop_assert_eq!(&sk.levels, &reference.levels);
+            prop_assert_eq!(bits(sk.summary()), bits(reference.summary()));
+            prop_assert_eq!(sk.count(), reference.count());
+            prop_assert_eq!(sk.non_finite(), reference.non_finite());
+            prop_assert_eq!(sk.rank_error_bound(), reference.rank_error_bound());
+            for max_bins in [2, 16, 256] {
+                prop_assert_eq!(grid_bits(&sk, max_bins), grid_bits(&reference, max_bins));
+            }
+        }
+    }
+
+    #[test]
+    fn keys_order_like_total_cmp_and_round_trip() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            2.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in values {
+            assert_eq!(value(key(a)).to_bits(), a.to_bits());
+            for b in values {
+                assert_eq!(key(a).cmp(&key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+    }
 
     fn true_rank(values: &[f64], v: f64) -> u64 {
         values.iter().filter(|&&x| x <= v).count() as u64

@@ -176,6 +176,35 @@ fn chunked_at_two_chunk_sizes() {
     assert_eq!(got, [6024578690466581908, 6024578690466581908]);
 }
 
+/// The same chunked fit with sketches small enough to compact: the
+/// 1,860 rows overflow a level of 8, 64 and 256 values.
+#[test]
+fn chunked_with_compacting_sketches() {
+    let d = data();
+    let got: Vec<u64> = [8, 64, 256]
+        .into_iter()
+        .map(|sketch_capacity| {
+            let mut src = spe::data::DatasetChunks::new(&d, 97);
+            let opts = ChunkedFitOptions {
+                sketch_capacity,
+                ..ChunkedFitOptions::default()
+            };
+            let (model, _) = SelfPacedEnsembleConfig::with_base(6, hist())
+                .try_fit_chunked(&mut src, &opts, 15)
+                .unwrap_or_else(|e| panic!("{e}"));
+            digest(&model)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            6087141697229720122,
+            1841769309955756968,
+            6786027635147890182
+        ]
+    );
+}
+
 #[test]
 fn native_auto_and_histogram_by_schedule() {
     let got = [

@@ -11,6 +11,7 @@
 //! batch sizes.
 
 use proptest::prelude::*;
+use spe::data::{encode_batch_into, encode_value};
 use spe::learners::{GbdtConfig, Learner};
 use spe::prelude::*;
 
@@ -110,6 +111,92 @@ proptest! {
         if let Ok(model) = cfg.try_fit_dataset(&data, 5) {
             let q = quantize(&model, data.x().cols());
             assert_bits_eq(&q.predict_proba(&batch), &model.predict_proba(&batch));
+        }
+    }
+}
+
+/// Cut grids of 0..=255 cuts (a third of them near the encoder's
+/// switch from the direct to the two-level count, a third near the
+/// 255-cut ceiling) plus a batch of 1..=70 rows, so both the 16-row
+/// panels and the row-at-a-time tail run. Grids are ascending, finite
+/// and `-0.0`-free, on a 0.5 lattice with random gaps (so `0.0` can be
+/// a cut). Values are cuts, their float neighbours, both zeros, both
+/// infinities, NaN of either sign and random finite values around the
+/// grid.
+fn grids_and_batch() -> impl Strategy<Value = (Vec<Vec<f64>>, Matrix)> {
+    (1usize..6, 1usize..71, 0u64..1_000_000).prop_map(|(cols, rows, seed)| {
+        let mut rng = SeededRng::new(seed);
+        let cuts: Vec<Vec<f64>> = (0..cols)
+            .map(|_| {
+                let len = match rng.below(3) {
+                    0 => rng.below(256),
+                    1 => 16 + rng.below(24),
+                    _ => 240 + rng.below(16),
+                };
+                // `0.0 -` keeps a zero start `+0.0`.
+                let mut c = 0.0 - rng.below(400) as f64 * 0.5;
+                (0..len)
+                    .map(|_| {
+                        let cut = c;
+                        c += if rng.below(2) == 0 {
+                            (1 + rng.below(3)) as f64 * 0.5
+                        } else {
+                            0.01 + rng.uniform() * 2.0
+                        };
+                        cut
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut x = Matrix::with_capacity(rows, cols);
+        for _ in 0..rows {
+            let row: Vec<f64> = cuts
+                .iter()
+                .map(|grid| {
+                    let cut = if grid.is_empty() {
+                        rng.normal(0.0, 10.0)
+                    } else {
+                        grid[rng.below(grid.len())]
+                    };
+                    match rng.below(11) {
+                        0 => cut,
+                        1 => cut.next_up(),
+                        2 => cut.next_down(),
+                        3 => 0.0,
+                        4 => -0.0,
+                        5 => f64::INFINITY,
+                        6 => f64::NEG_INFINITY,
+                        7 => f64::NAN,
+                        8 => -f64::NAN,
+                        _ => cut + rng.normal(0.0, 3.0),
+                    }
+                })
+                .collect();
+            x.push_row(&row);
+        }
+        (cuts, x)
+    })
+}
+
+proptest! {
+    #[test]
+    fn batch_encoder_matches_encode_value_cell_by_cell((cuts, x) in grids_and_batch()) {
+        let mut codes = vec![0u8; x.rows() * x.cols()];
+        encode_batch_into(&cuts, x.view(), &mut codes);
+        for r in 0..x.rows() {
+            for (f, grid) in cuts.iter().enumerate() {
+                let v = x.get(r, f);
+                prop_assert_eq!(
+                    codes[f * x.rows() + r],
+                    encode_value(grid, v),
+                    "row {} of {}, feature {}, value {:?}, grid of {} cuts",
+                    r,
+                    x.rows(),
+                    f,
+                    v,
+                    grid.len()
+                );
+            }
         }
     }
 }

@@ -91,6 +91,42 @@ fn random_forest_results_identical_across_thread_counts() {
     }
 }
 
+/// A chunked fit over many chunks, with sketches that compact on every
+/// feature, is byte-identical at 1 and 2 threads: pass 1 sketches the
+/// features in parallel, and members train and score on the pool.
+#[test]
+fn chunked_fit_with_compacting_sketches_identical_across_thread_counts() {
+    let data = imbalanced(43);
+    let base: SharedLearner = Arc::new(DecisionTreeConfig {
+        split_method: SplitMethod::Histogram,
+        ..DecisionTreeConfig::default()
+    });
+    let opts = ChunkedFitOptions {
+        sketch_capacity: 16,
+        ..ChunkedFitOptions::default()
+    };
+    let run = |threads| {
+        let cfg = SelfPacedEnsembleConfig {
+            runtime: Runtime::with_threads(threads),
+            ..SelfPacedEnsembleConfig::with_base(6, base.clone())
+        };
+        let mut src = spe::data::DatasetChunks::new(&data, 23);
+        let (model, report) = cfg.try_fit_chunked(&mut src, &opts, 9).unwrap();
+        assert!(report.chunks > 10 && report.max_rank_error > 0.0);
+        model.predict_proba(data.x())
+    };
+    let one = run(1);
+    let two = run(2);
+    assert_eq!(one.len(), two.len());
+    for (a, b) in one.iter().zip(&two) {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "chunked SPE diverges across threads"
+        );
+    }
+}
+
 #[test]
 fn runtime_carried_in_config_matches_ambient_install() {
     let data = imbalanced(44);
