@@ -70,6 +70,25 @@ spe_score_bin="$repo_root/target/release/spe_score"
 cmp "$ooc_dir/p1.csv" "$ooc_dir/p2.csv"
 rm -rf "$ooc_dir"
 
+echo "==> thread-count determinism (in-memory and chunked fits at SPE_THREADS=1 and 4 predict the same bits)"
+# 60,000 rows hold about 59,900 majority rows: several blocks of every
+# parallel round pass (hardness, draw, rescoring) and of the bin index.
+det_dir="$(mktemp -d)"
+"$spe_score_bin" gen --out "$det_dir/data.csv" --rows 60000 --seed 11
+for threads in 1 4; do
+    SPE_THREADS=$threads "$spe_score_bin" fit-save --train "$det_dir/data.csv" \
+        --out "$det_dir/mem$threads.spe" --members 8
+    SPE_THREADS=$threads "$spe_score_bin" fit-save --train "$det_dir/data.csv" \
+        --out "$det_dir/chunked$threads.spe" --chunked --chunk-rows 7000 --members 8
+    for mode in mem chunked; do
+        "$spe_score_bin" load-score --model "$det_dir/$mode$threads.spe" \
+            --input "$det_dir/data.csv" --out "$det_dir/$mode$threads.csv"
+    done
+done
+cmp "$det_dir/mem1.csv" "$det_dir/mem4.csv"
+cmp "$det_dir/chunked1.csv" "$det_dir/chunked4.csv"
+rm -rf "$det_dir"
+
 echo "==> bench_serve --smoke (quantized backend selected + BENCH_serve.json schema)"
 cargo build --release -p spe-bench --bin bench_serve
 serve_dir="$(mktemp -d)"

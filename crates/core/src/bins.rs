@@ -45,7 +45,6 @@ impl HardnessGrid {
     /// Panics if `k == 0`, `hardness` is empty or holds a non-finite
     /// value.
     pub(crate) fn over(hardness: &[f64], k: usize) -> Self {
-        assert!(k > 0, "need at least one bin");
         assert!(!hardness.is_empty(), "cannot bin an empty set");
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
@@ -54,12 +53,26 @@ impl HardnessGrid {
             lo = lo.min(h);
             hi = hi.max(h);
         }
+        Self::spanning(lo, hi, k)
+    }
+
+    /// The grid over the finite range `[lo, hi]`, already known.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub(crate) fn spanning(lo: f64, hi: f64, k: usize) -> Self {
+        assert!(k > 0, "need at least one bin");
         Self {
             lo,
             hi,
             width: (hi - lo).max(1e-12),
             k,
         }
+    }
+
+    /// Number of bins.
+    pub(crate) fn k(&self) -> usize {
+        self.k
     }
 
     /// Bin of one value.

@@ -2,7 +2,7 @@
 
 use crate::hardness::HardnessFn;
 use crate::report::FitReport;
-use crate::rounds::{fit_rounds, score_codes, RowStore};
+use crate::rounds::{fit_rounds, score_codes, RowStore, ROUND_BLOCK};
 use crate::sampler::AlphaSchedule;
 use spe_data::{
     BinIndex, BinaryIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng,
@@ -12,8 +12,8 @@ use spe_learners::binspace::{BinScorer, CodeView};
 use spe_learners::ensemble::SoftVoteEnsemble;
 use spe_learners::persist::ModelSnapshot;
 use spe_learners::traits::{
-    check_base_bins, validate_fit_inputs, BinnedProblem, FeatureBound, Learner, Model,
-    SharedLearner,
+    check_base_bins, shared_index, validate_fit_inputs, BinnedLearner, BinnedProblem, FeatureBound,
+    Learner, Model, SharedLearner,
 };
 use spe_learners::DecisionTreeConfig;
 use spe_runtime::{Runtime, TrainingBudget};
@@ -287,7 +287,8 @@ struct InMemory<'a> {
     base: &'a dyn Learner,
     data: &'a Dataset,
     idx: BinaryIndex,
-    bins: Option<BinIndex>,
+    /// The shared index and the learner that trains on it.
+    bins: Option<(&'a dyn BinnedLearner, BinIndex)>,
     /// Dense class blocks, built on first use: the exact path trains
     /// and scores on them, the histogram path needs the majority block
     /// only for members that do not bin-compile.
@@ -305,11 +306,7 @@ impl<'a> InMemory<'a> {
         // large enough to amortize quantization, bin the full matrix
         // once and let every member train on row ids of the index
         // instead of a freshly materialized P ∪ N' sub-matrix.
-        let bins = base.as_binned().and_then(|bl| {
-            let req = bl.bin_request()?;
-            (n_pos + n_pos.min(n_neg) >= req.min_rows)
-                .then(|| BinIndex::build(data.x(), req.max_bins))
-        });
+        let bins = shared_index(base, data.x(), n_pos + n_pos.min(n_neg));
         Self {
             base,
             data,
@@ -333,7 +330,7 @@ impl RowStore for InMemory<'_> {
     }
 
     fn fit(&mut self, selected: &[usize], mut rng: SeededRng) -> Result<Box<dyn Model>, SpeError> {
-        if let (Some(bins), Some(learner)) = (&self.bins, self.base.as_binned()) {
+        if let Some((learner, bins)) = &self.bins {
             // Row ids of the shared index; row order does not influence
             // histogram training, so no shuffle is needed.
             let majority = selected.iter().map(|&s| &self.idx.majority[s]);
@@ -371,7 +368,7 @@ impl RowStore for InMemory<'_> {
     /// `predict_proba` on the dense majority rows. Both give the same
     /// bits.
     fn score(&mut self, model: &dyn Model, out: &mut [f64]) -> Result<(), SpeError> {
-        let compiled = self.bins.as_ref().and_then(|b| {
+        let compiled = self.bins.as_ref().and_then(|(_, b)| {
             let scorer = BinScorer::compile(&model.snapshot()?, b.cut_grids()).ok()?;
             Some((b, scorer))
         });
@@ -383,9 +380,16 @@ impl RowStore for InMemory<'_> {
                     CodeView::new(b.codes(), b.n_rows()),
                     &mut self.row_scores,
                 );
-                for (o, &r) in out.iter_mut().zip(&self.idx.majority) {
-                    *o = self.row_scores[r];
-                }
+                let row_scores = &self.row_scores;
+                let mut blocks: Vec<(&mut [f64], &[usize])> = out
+                    .chunks_mut(ROUND_BLOCK)
+                    .zip(self.idx.majority.chunks(ROUND_BLOCK))
+                    .collect();
+                spe_runtime::par_for_each_mut(&mut blocks, |_, (out, rows)| {
+                    for (o, &r) in out.iter_mut().zip(rows.iter()) {
+                        *o = row_scores[r];
+                    }
+                });
             }
             None => model.predict_proba_into(self.majority().view(), out),
         }

@@ -34,7 +34,7 @@ use spe_data::{Dataset, MatrixView, Sanitizer, SeededRng, SpeError};
 use spe_learners::ensemble::SoftVoteEnsemble;
 use spe_learners::multiclass::OneVsRestModel;
 use spe_learners::persist::ModelSnapshot;
-use spe_learners::traits::{ConstantModel, FeatureBound, Model};
+use spe_learners::traits::{shared_index, BinnedProblem, ConstantModel, FeatureBound, Model};
 use spe_runtime::fork_seed;
 
 /// How a k-class SPE decomposes the problem.
@@ -179,6 +179,10 @@ impl MultiClassSpeConfig {
     /// keeps its own RNG order — every class drawn from the round RNG,
     /// then a shuffle, members seeded from `fork_seed(seed, 0x3A71E000 +
     /// i)` — which is why it does not run on the binary round loop.
+    /// When the base learner bins a subset of the member's size, the
+    /// subset is binned once for all k class fits: a binned learner's
+    /// `fit` is that index plus `fit_on_bins` over every row, and the
+    /// index does not depend on the labels.
     fn fit_native(
         &self,
         data: &Dataset,
@@ -253,6 +257,15 @@ impl MultiClassSpeConfig {
                     rng.shuffle(&mut subset_rows);
                     let sub_x = data.x().select_rows(&subset_rows);
                     let sub_y: Vec<u8> = subset_rows.iter().map(|&r| data.y()[r]).collect();
+                    // A base learner that bins a subset of this size bins
+                    // it the same way for every class: build that index
+                    // once for all k class fits.
+                    let binned = shared_index(cfg.base.as_ref(), &sub_x, sub_y.len()).map(
+                        |(learner, bins)| {
+                            let rows: Vec<u32> = (0..sub_y.len() as u32).collect();
+                            (learner, bins, rows)
+                        },
+                    );
 
                     // K one-vs-rest base fits on the shared subset, each
                     // scored and added to the running sums as it trains.
@@ -267,8 +280,18 @@ impl MultiClassSpeConfig {
                             } else if !bin_y.contains(&0) {
                                 Box::new(ConstantModel(1.0))
                             } else {
-                                cfg.base
-                                    .fit(&sub_x, &bin_y, fork_seed(member_seed, c as u64))
+                                let class_seed = fork_seed(member_seed, c as u64);
+                                match &binned {
+                                    Some((learner, bins, rows)) => {
+                                        let problem = BinnedProblem {
+                                            bins,
+                                            y: &bin_y,
+                                            weights: None,
+                                        };
+                                        learner.fit_on_bins(&problem, rows, class_seed)
+                                    }
+                                    None => cfg.base.fit(&sub_x, &bin_y, class_seed),
+                                }
                             };
                             let scores = scorer.predict_proba(data.x());
                             ensure_finite(&scores, || format!("member {i} class {c}"))?;

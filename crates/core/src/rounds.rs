@@ -10,8 +10,9 @@
 //! turns the slot outcomes into a [`FitReport`] or a typed failure.
 
 use crate::ensemble::{FitTrace, SelfPacedEnsemble, SelfPacedEnsembleConfig};
+use crate::hardness::HardnessFn;
 use crate::report::{FitReport, MemberOutcome};
-use crate::sampler::SelfPacedSampler;
+use crate::sampler::{DrawBuffers, SelfPacedSampler};
 use spe_data::{SanitizeReport, SeededRng, SpeError};
 use spe_learners::binspace::{BinScorer, CodeView};
 use spe_learners::traits::Model;
@@ -38,6 +39,9 @@ pub(crate) trait RowStore {
 /// model and drives member 0's draw; `trace` records every accepted
 /// round. On the healthy path the round RNG advances exactly as in the
 /// sequential paper loop and member `i` trains from `rng.fork(i)`.
+/// Once a member is accepted, one parallel pass ([`hardness_pass`])
+/// adds its scores to the running sums and leaves the next round's
+/// hardness and its range for the draw.
 pub(crate) fn fit_rounds(
     cfg: &SelfPacedEnsembleConfig,
     store: &mut impl RowStore,
@@ -57,8 +61,16 @@ pub(crate) fn fit_rounds(
     // F_i(x) = sum / i, with no rescoring of earlier members.
     let mut proba_sum = vec![0.0_f64; n_neg];
     // The round's hardness until the draw is made, then the new
-    // member's majority scores.
+    // member's majority scores, then — once the member is accepted —
+    // the hardness under the grown ensemble, for the next round.
     let mut buf = vec![0.0_f64; n_neg];
+    // Whether `buf` holds hardness under the current ensemble (no
+    // attempt has written scores into it since), and its range when
+    // every value is finite. Without a range the draw scans `buf`
+    // itself, rejecting a non-finite value as it always has.
+    let mut fresh = false;
+    let mut range: Option<(f64, f64)> = None;
+    let mut draw = DrawBuffers::default();
 
     for i in 0..n {
         // Once the budget trips, remaining slots are skipped — except
@@ -68,12 +80,13 @@ pub(crate) fn fit_rounds(
             continue;
         }
 
-        // Hardness w.r.t. the current ensemble F_i (lines 4–5); a warm
-        // refit takes member 0's from the live model.
+        // Hardness w.r.t. the current ensemble F_i (lines 4–5): the pass
+        // after the last accepted member left it in `buf`, unless a
+        // dropped slot wrote its scores there since. A warm refit takes
+        // member 0's from the live model.
         let hardness: Option<&[f64]> = if !models.is_empty() {
-            let inv = 1.0 / models.len() as f64;
-            for (h, &s) in buf.iter_mut().zip(&proba_sum) {
-                *h = cfg.hardness.eval(s * inv, 0);
+            if !fresh {
+                range = hardness_pass(cfg.hardness, &mut proba_sum, &mut buf, models.len(), false);
             }
             Some(&buf)
         } else if i == 0 {
@@ -84,13 +97,19 @@ pub(crate) fn fit_rounds(
         // Self-paced under-sampling (lines 6–9), random under-sampling
         // without hardness (line 2), or the ablated α schedules.
         let (selected, alpha) = match hardness.map(|h| (h, cfg.alpha_schedule.alpha(i, n))) {
-            Some((h, Some(alpha))) => (sampler.sample(h, alpha, n_pos, &mut rng).selected, alpha),
+            Some((h, Some(alpha))) => (
+                sampler
+                    .sample_in(h, range, alpha, n_pos, &mut rng, &mut draw)
+                    .selected,
+                alpha,
+            ),
             Some((_, None)) => (rng.sample_indices(n_neg, n_pos.min(n_neg)), f64::NAN),
             None => (rng.sample_indices(n_neg, n_pos.min(n_neg)), 0.0),
         };
         let traced = trace.as_ref().and(hardness).map(<[f64]>::to_vec);
 
         // Train f_i on P ∪ N' (line 10) and score the majority rows.
+        fresh = false;
         let (model, outcome) = member_slot(cfg, i, rng.child_seed(i as u64), seed, |attempt| {
             let model = store.fit(&selected, SeededRng::new(attempt))?;
             store.score(model.as_ref(), &mut buf)?;
@@ -99,11 +118,10 @@ pub(crate) fn fit_rounds(
         })?;
         outcomes.push(outcome);
         if let Some(model) = model {
-            for (s, p) in proba_sum.iter_mut().zip(&buf) {
-                *s += p;
-            }
             models.push(model);
             alphas.push(alpha);
+            range = hardness_pass(cfg.hardness, &mut proba_sum, &mut buf, models.len(), true);
+            fresh = true;
             if let Some(t) = trace.as_deref_mut() {
                 t.selections.push(selected);
                 t.hardness.extend(traced);
@@ -152,13 +170,61 @@ pub(crate) fn member_slot<T>(
     }
 }
 
+/// Majority rows per task of the round loop's passes over them: the
+/// hardness pass, the draw's count and scatter, and the in-memory
+/// store's gather of their scores.
+pub(crate) const ROUND_BLOCK: usize = 16_384;
+
+/// The round loop's pass over the majority rows, in parallel blocks:
+/// when `add` is set it first adds the newest member's scores, held in
+/// `buf`, to the running sums; then it writes every row's hardness
+/// under the ensemble of `members` members into `buf` and returns the
+/// hardness range, `None` when a value is not finite. Each row's values
+/// depend on that row alone, and the minimum and maximum of finite
+/// values do not depend on grouping (but for the sign of a zero bound,
+/// which moves no bin: it changes `h − lo` and `hi − lo` at most in the
+/// sign of a zero), so the result is the same for every thread count.
+fn hardness_pass(
+    hardness: HardnessFn,
+    sums: &mut [f64],
+    buf: &mut [f64],
+    members: usize,
+    add: bool,
+) -> Option<(f64, f64)> {
+    let inv = 1.0 / members as f64;
+    let empty = (f64::INFINITY, f64::NEG_INFINITY, true);
+    let mut blocks: Vec<_> = sums
+        .chunks_mut(ROUND_BLOCK)
+        .zip(buf.chunks_mut(ROUND_BLOCK))
+        .map(|(s, b)| (s, b, empty))
+        .collect();
+    spe_runtime::par_for_each_mut(&mut blocks, |_, (sums, buf, range)| {
+        for (s, b) in sums.iter_mut().zip(buf.iter_mut()) {
+            if add {
+                *s += *b;
+            }
+            *b = hardness.eval(*s * inv, 0);
+        }
+        *range = buf.iter().fold(*range, |(lo, hi, finite), &h| {
+            (lo.min(h), hi.max(h), finite & h.is_finite())
+        });
+    });
+    let (lo, hi, finite) = blocks
+        .iter()
+        .fold(empty, |(lo, hi, finite), &(_, _, (l, h, f))| {
+            (lo.min(l), hi.max(h), finite & f)
+        });
+    finite.then_some((lo, hi))
+}
+
 /// The member-level non-finite check: a NaN or infinite score fails the
-/// attempt with [`SpeError::NonFiniteOutput`].
+/// attempt with [`SpeError::NonFiniteOutput`]. The check folds without
+/// stopping early, so it vectorizes.
 pub(crate) fn ensure_finite(
     scores: &[f64],
     context: impl FnOnce() -> String,
 ) -> Result<(), SpeError> {
-    if scores.iter().all(|p| p.is_finite()) {
+    if scores.iter().fold(true, |finite, p| finite & p.is_finite()) {
         Ok(())
     } else {
         Err(SpeError::NonFiniteOutput { context: context() })

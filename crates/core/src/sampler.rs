@@ -8,6 +8,7 @@
 //! the subset size at the target whenever enough majority samples exist.
 
 use crate::bins::HardnessGrid;
+use crate::rounds::ROUND_BLOCK;
 use spe_data::SeededRng;
 
 /// Self-paced factor `α = tan(i·π / 2n)` for iteration `i` of `n`
@@ -162,6 +163,29 @@ impl SelfPacedSampler {
         target: usize,
         rng: &mut SeededRng,
     ) -> SampleOutcome {
+        self.sample_in(
+            hardness,
+            None,
+            alpha,
+            target,
+            rng,
+            &mut DrawBuffers::default(),
+        )
+    }
+
+    /// [`Self::sample`], with the hardness range `[lo, hi]` already known
+    /// when `range` holds it (the round loop's hardness pass returns it)
+    /// and the draw's buffers kept by the caller across rounds. The same
+    /// draw, bit for bit.
+    pub(crate) fn sample_in(
+        &self,
+        hardness: &[f64],
+        range: Option<(f64, f64)>,
+        alpha: f64,
+        target: usize,
+        rng: &mut SeededRng,
+        bufs: &mut DrawBuffers,
+    ) -> SampleOutcome {
         assert!(alpha >= 0.0, "alpha must be non-negative");
         let n = hardness.len();
         if target >= n {
@@ -171,36 +195,25 @@ impl SelfPacedSampler {
                 weights: vec![1.0],
             };
         }
-        let grid = HardnessGrid::over(hardness, self.k_bins);
-        let stats = grid.stats(hardness, |_| {});
-        let weights: Vec<f64> = stats
+        let grid = match range {
+            Some((lo, hi)) => HardnessGrid::spanning(lo, hi, self.k_bins),
+            None => HardnessGrid::over(hardness, self.k_bins),
+        };
+        let (starts, sums) = bufs.sort_by_bin(hardness, &grid);
+        let populations: Vec<usize> = starts.windows(2).map(|w| w[1] - w[0]).collect();
+        let weights: Vec<f64> = populations
             .iter()
-            .map(|s| {
-                if s.population == 0 {
+            .zip(&sums)
+            .map(|(&population, &sum)| {
+                if population == 0 {
                     0.0
                 } else {
-                    1.0 / (s.mean_hardness + alpha).max(1e-12)
+                    1.0 / (sum / population as f64 + alpha).max(1e-12)
                 }
             })
             .collect();
-        let populations: Vec<usize> = stats.iter().map(|s| s.population).collect();
         let per_bin = allocate_quota(&weights, &populations, target);
 
-        // Counting sort of the positions by bin into one flat buffer,
-        // ascending within each bin — the order `HardnessBins::members`
-        // lists them in.
-        let mut starts = Vec::with_capacity(populations.len() + 1);
-        starts.push(0);
-        for &p in &populations {
-            starts.push(starts[starts.len() - 1] + p);
-        }
-        let mut next = starts.clone();
-        let mut pool = vec![0usize; n];
-        for (i, &h) in hardness.iter().enumerate() {
-            let b = grid.bin(h);
-            pool[next[b]] = i;
-            next[b] += 1;
-        }
         // Draw each bin's quota in place with the swap sequence
         // `SeededRng::sample_from` runs over the bin's members: the same
         // draws pick the same positions, with no per-bin buffers.
@@ -209,15 +222,105 @@ impl SelfPacedSampler {
             if quota == 0 {
                 continue;
             }
-            let bin = &mut pool[starts[b]..starts[b + 1]];
+            let bin = &mut bufs.pool[starts[b]..starts[b + 1]];
             rng.partial_shuffle(bin, quota);
-            selected.extend_from_slice(&bin[..quota]);
+            selected.extend(bin[..quota].iter().map(|&p| p as usize));
         }
         SampleOutcome {
             selected,
             per_bin,
             weights,
         }
+    }
+}
+
+/// The draw's working memory, 8 bytes per position: every position's
+/// bin, and the positions counting-sorted by bin. The round loop keeps
+/// one across rounds, so no round allocates or faults in fresh pages.
+#[derive(Default)]
+pub(crate) struct DrawBuffers {
+    codes: Vec<u32>,
+    pool: Vec<u32>,
+}
+
+impl DrawBuffers {
+    /// Counting-sorts the positions of `hardness` by `grid` bin into
+    /// `pool`, ascending within each bin — the order
+    /// `HardnessBins::members` lists them in. Returns where each bin
+    /// starts in `pool` (`k + 1` offsets) and each bin's hardness sum.
+    ///
+    /// Blocks of positions are binned and counted in parallel, and the
+    /// per-block counts are merged in block order; each block then
+    /// scatters its positions into its own run of every bin, runs laid
+    /// out in block order, so the result is the same for every thread
+    /// count. A bin's sum adds its hardness values in position order
+    /// along its run — the additions of a sequential scan, which
+    /// summing per-block partial sums would regroup.
+    fn sort_by_bin(&mut self, hardness: &[f64], grid: &HardnessGrid) -> (Vec<usize>, Vec<f64>) {
+        let n = hardness.len();
+        let k = grid.k();
+        assert!(u32::try_from(n).is_ok(), "{n} positions overflow u32");
+        // Per-block counts cost `k` words a block: past one per position
+        // a single block does. Every bin fits a `u32` code: counts for
+        // more than `u32::MAX` bins could not be allocated.
+        let block = if k.saturating_mul(n.div_ceil(ROUND_BLOCK)) > n {
+            n
+        } else {
+            ROUND_BLOCK
+        };
+        self.codes.resize(n, 0);
+        self.pool.resize(n, 0);
+
+        let mut counted: Vec<(&mut [u32], Vec<usize>)> = self
+            .codes
+            .chunks_mut(block)
+            .map(|codes| (codes, vec![0; k]))
+            .collect();
+        spe_runtime::par_for_each_mut(&mut counted, |j, (codes, counts)| {
+            for (code, &h) in codes.iter_mut().zip(&hardness[j * block..]) {
+                let b = grid.bin(h);
+                *code = b as u32;
+                counts[b] += 1;
+            }
+        });
+        let counts: Vec<Vec<usize>> = counted.into_iter().map(|(_, counts)| counts).collect();
+        let mut starts = Vec::with_capacity(k + 1);
+        starts.push(0);
+        for b in 0..k {
+            starts.push(starts[b] + counts.iter().map(|c| c[b]).sum::<usize>());
+        }
+
+        let mut runs: Vec<Vec<&mut [u32]>> = counts.iter().map(|_| Vec::with_capacity(k)).collect();
+        let mut rest = self.pool.as_mut_slice();
+        for b in 0..k {
+            for (block_runs, c) in runs.iter_mut().zip(&counts) {
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(c[b]);
+                block_runs.push(run);
+                rest = tail;
+            }
+        }
+        let codes = &self.codes;
+        spe_runtime::par_for_each_mut(&mut runs, |j, runs| {
+            let start = j * block;
+            let mut next = vec![0; k];
+            for (i, &code) in codes[start..n.min(start + block)].iter().enumerate() {
+                let b = code as usize;
+                runs[b][next[b]] = (start + i) as u32;
+                next[b] += 1;
+            }
+        });
+
+        let pool = &self.pool;
+        let sums = spe_runtime::par_chunks(k, 1, |bins| {
+            bins.map(|b| {
+                pool[starts[b]..starts[b + 1]]
+                    .iter()
+                    .fold(0.0, |sum, &p| sum + hardness[p as usize])
+            })
+            .collect::<Vec<f64>>()
+        })
+        .concat();
+        (starts, sums)
     }
 }
 
@@ -402,7 +505,7 @@ mod tests {
         alpha: f64,
         target: usize,
         rng: &mut SeededRng,
-    ) -> Vec<usize> {
+    ) -> SampleOutcome {
         let bins = crate::bins::HardnessBins::cut(h, k);
         let members = bins.members();
         let weights: Vec<f64> = bins
@@ -417,14 +520,26 @@ mod tests {
             })
             .collect();
         let populations: Vec<usize> = members.iter().map(Vec::len).collect();
-        let quota = allocate_quota(&weights, &populations, target);
+        let per_bin = allocate_quota(&weights, &populations, target);
         let mut selected = Vec::new();
-        for (q, member) in quota.iter().zip(&members) {
+        for (q, member) in per_bin.iter().zip(&members) {
             if *q > 0 {
                 selected.extend(rng.sample_from(member, *q));
             }
         }
-        selected
+        SampleOutcome {
+            selected,
+            per_bin,
+            weights,
+        }
+    }
+
+    /// Asserts two draws equal: selections, quotas, weight bits.
+    fn assert_same_draw(got: &SampleOutcome, want: &SampleOutcome, context: &str) {
+        assert_eq!(got.selected, want.selected, "{context}");
+        assert_eq!(got.per_bin, want.per_bin, "{context}");
+        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.weights), bits(&want.weights), "{context}");
     }
 
     #[test]
@@ -438,12 +553,60 @@ mod tests {
                 let mut a = SeededRng::new(seed + 100);
                 let mut b = a.clone();
                 let got = SelfPacedSampler { k_bins: k }.sample(&h, alpha, target, &mut a);
-                assert_eq!(
-                    got.selected,
-                    per_bin_reference(&h, k, alpha, target, &mut b)
+                assert_same_draw(
+                    &got,
+                    &per_bin_reference(&h, k, alpha, target, &mut b),
+                    "one block",
                 );
                 assert_eq!(a.below(1 << 30), b.below(1 << 30), "rng streams diverged");
             }
+        }
+    }
+
+    #[test]
+    fn multi_block_draws_match_the_per_bin_reference_at_every_thread_count() {
+        // Three and five draw blocks, the last one ragged.
+        for (seed, n) in [(7u64, 3 * ROUND_BLOCK - 5), (8, 4 * ROUND_BLOCK + 123)] {
+            let mut gen = SeededRng::new(seed);
+            let h: Vec<f64> = (0..n).map(|_| gen.uniform().powi(6)).collect();
+            let target = n / 101 + 1;
+            for k in [1, 7, 20, 300] {
+                for alpha in [0.0, 1.0, 1e6] {
+                    let mut b = SeededRng::new(seed + 100);
+                    let want = per_bin_reference(&h, k, alpha, target, &mut b);
+                    let next = b.below(1 << 30);
+                    for threads in [1, 2, 4] {
+                        let context = format!("n {n} k {k} alpha {alpha} threads {threads}");
+                        let mut a = SeededRng::new(seed + 100);
+                        let got = spe_runtime::Runtime::with_threads(threads).install(|| {
+                            SelfPacedSampler { k_bins: k }.sample(&h, alpha, target, &mut a)
+                        });
+                        assert_same_draw(&got, &want, &context);
+                        assert_eq!(a.below(1 << 30), next, "{context}: rng streams diverged");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_buffers_and_a_known_range_draw_like_a_fresh_sample() {
+        let mut gen = SeededRng::new(9);
+        let sampler = SelfPacedSampler { k_bins: 20 };
+        let mut bufs = DrawBuffers::default();
+        // Shrinking and growing inputs reuse the same buffers.
+        for n in [2 * ROUND_BLOCK + 1, 500, 3 * ROUND_BLOCK + 17] {
+            let h: Vec<f64> = (0..n).map(|_| gen.uniform().powi(3)).collect();
+            let range = h
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                    (lo.min(v), hi.max(v))
+                });
+            let mut a = SeededRng::new(n as u64);
+            let mut b = a.clone();
+            let got = sampler.sample_in(&h, Some(range), 0.4, n / 50, &mut a, &mut bufs);
+            let want = sampler.sample(&h, 0.4, n / 50, &mut b);
+            assert_same_draw(&got, &want, &format!("n {n}"));
         }
     }
 

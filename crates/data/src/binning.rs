@@ -14,16 +14,27 @@
 //! histogram split finder considers exactly the thresholds the exact
 //! sorted path would.
 //!
+//! [`BinIndex::build`] sorts each column, one task per feature, as `u64`
+//! total-order keys (the quantile sketch's): equal keys are equal bits,
+//! so the sorted values are those of a `total_cmp` sort. It then codes
+//! every row with the batch encoder [`encode_batch_into`], one task per
+//! block of 8,192 rows, which equals [`encode_value`] cell by cell on
+//! these finite, `-0.0`-free grids.
+//!
 //! The invariant that makes binned training and unbinned prediction
-//! agree: for every finite value `v` and bin boundary `b`,
-//! `code(v) <= b  ⟺  v <= cut(b)`. Non-finite values (`NaN`) sort above
-//! every cut — the same "send to the right child" behaviour the exact
-//! path gets from `total_cmp`.
+//! agree: for every value `v` and bin boundary `b`,
+//! `code(v) <= b  ⟺  v <= cut(b)`. `NaN` of either sign fails every
+//! `<=` and lands in the last bin — the right child an f64 tree node's
+//! `v <= cut` test sends it to.
 
 use crate::matrix::{Matrix, MatrixView};
+use crate::sketch::{key, value};
 
 /// Hard ceiling on bins per feature (codes are stored as `u8`).
 pub const MAX_BINS: usize = 256;
+
+/// Rows per task of [`BinIndex::build`]'s encode.
+const BUILD_BLOCK_ROWS: usize = 8192;
 
 /// A pre-binned view of a feature matrix: per-feature quantile cut
 /// points plus column-major `u8` bin codes for every sample.
@@ -53,22 +64,36 @@ impl BinIndex {
         );
         let n_rows = x.rows();
         let d = x.cols();
-        let per_feature = spe_runtime::par_map_indexed(d, |f| {
-            let mut column: Vec<f64> = (0..n_rows).map(|r| x.get(r, f)).collect();
-            column.sort_unstable_by(|a, b| a.total_cmp(b));
-            let cuts = quantile_cuts(&column, max_bins);
-            let mut codes = Vec::with_capacity(n_rows);
-            for r in 0..n_rows {
-                codes.push(encode_value(&cuts, x.get(r, f)));
-            }
-            (cuts, codes)
+        // Each feature's grid from its column sorted as total-order keys:
+        // equal keys are equal bits, so the sorted values, and the cuts,
+        // are those of a `total_cmp` sort of the values.
+        let cuts = spe_runtime::par_map_indexed(d, |f| {
+            let mut keys: Vec<u64> = (0..n_rows).map(|r| key(x.get(r, f))).collect();
+            keys.sort_unstable();
+            quantile_cuts(keys.into_iter().map(value), max_bins)
         });
-        let mut cuts = Vec::with_capacity(d);
-        let mut codes = Vec::with_capacity(d * n_rows);
-        for (c, col) in per_feature {
-            cuts.push(c);
-            codes.extend_from_slice(&col);
+        // Codes by the batch encoder, one task per block of rows. Each
+        // block owns its run of every feature's code column.
+        let mut codes = vec![0u8; d * n_rows];
+        let mut blocks: Vec<Vec<&mut [u8]>> = (0..n_rows.div_ceil(BUILD_BLOCK_ROWS))
+            .map(|_| Vec::with_capacity(d))
+            .collect();
+        if n_rows > 0 {
+            for column in codes.chunks_mut(n_rows) {
+                for (runs, run) in blocks.iter_mut().zip(column.chunks_mut(BUILD_BLOCK_ROWS)) {
+                    runs.push(run);
+                }
+            }
         }
+        spe_runtime::par_for_each_mut(&mut blocks, |b, runs| {
+            let start = b * BUILD_BLOCK_ROWS;
+            let rows = (n_rows - start).min(BUILD_BLOCK_ROWS);
+            let mut block = vec![0u8; rows * d];
+            encode_batch_into(&cuts, x.view_rows(start..start + rows), &mut block);
+            for (run, column) in runs.iter_mut().zip(block.chunks_exact(rows)) {
+                run.copy_from_slice(column);
+            }
+        });
         Self {
             n_rows,
             cuts,
@@ -351,14 +376,17 @@ fn within_block(cuts: &[f64], blocks: u8, v: f64) -> u8 {
     (start + p + usize::from(!(v <= window[p]))) as u8
 }
 
-/// Cut points for one sorted column: midpoints between all adjacent
-/// distinct values when few enough, otherwise midpoints at (deduped)
-/// quantile ranks. Always strictly increasing, at most `max_bins - 1`.
-fn quantile_cuts(sorted: &[f64], max_bins: usize) -> Vec<f64> {
-    // Distinct finite values (NaNs sort to the end and never become
-    // cut points: a midpoint with NaN would poison comparisons).
+/// Cut points for one column, given in ascending `total_cmp` order:
+/// midpoints between all adjacent distinct values when few enough,
+/// otherwise midpoints at (deduped) quantile ranks. Always strictly
+/// increasing, at most `max_bins - 1`, finite and `-0.0`-free
+/// ([`midpoint`](crate::stats::midpoint) of two distinct finite values
+/// never returns `-0.0`), as [`encode_batch_into`] requires.
+fn quantile_cuts(sorted: impl IntoIterator<Item = f64>, max_bins: usize) -> Vec<f64> {
+    // Distinct finite values (NaNs and infinities never become cut
+    // points: a midpoint with NaN would poison comparisons).
     let mut distinct: Vec<f64> = Vec::new();
-    for &v in sorted {
+    for v in sorted {
         if !v.is_finite() {
             continue;
         }

@@ -270,11 +270,15 @@ pub fn pack_source(
 }
 
 /// Reads a shard directory as a [`ChunkedSource`], one shard per
-/// chunk, verifying every shard's checksum and header.
+/// chunk, verifying every shard's checksum and header. A shard of zero
+/// rows is skipped, and the stream ends in [`SpeError::ShardCorrupt`]
+/// unless its shards held the manifest's `total_rows`.
 pub struct ShardReader {
     dir: PathBuf,
     manifest: ShardManifest,
     next_shard: usize,
+    /// Rows read since the stream's start.
+    rows_read: u64,
 }
 
 impl ShardReader {
@@ -285,6 +289,7 @@ impl ShardReader {
             dir: dir.to_path_buf(),
             manifest,
             next_shard: 0,
+            rows_read: 0,
         })
     }
 
@@ -374,17 +379,30 @@ impl ChunkedSource for ShardReader {
 
     fn reset(&mut self) -> Result<(), SpeError> {
         self.next_shard = 0;
+        self.rows_read = 0;
         Ok(())
     }
 
     fn next_chunk(&mut self, out: &mut Chunk) -> Result<bool, SpeError> {
         out.clear();
-        if self.next_shard >= self.manifest.n_shards {
-            return Ok(false);
+        while self.next_shard < self.manifest.n_shards {
+            self.read_shard(self.next_shard, out)?;
+            self.next_shard += 1;
+            self.rows_read += out.rows() as u64;
+            if !out.is_empty() {
+                return Ok(true);
+            }
         }
-        self.read_shard(self.next_shard, out)?;
-        self.next_shard += 1;
-        Ok(!out.is_empty())
+        if self.rows_read != self.manifest.total_rows {
+            return Err(corrupt(
+                &self.dir.join(MANIFEST_NAME),
+                format!(
+                    "shards hold {} rows, manifest says total_rows {}",
+                    self.rows_read, self.manifest.total_rows
+                ),
+            ));
+        }
+        Ok(false)
     }
 }
 
@@ -539,6 +557,82 @@ mod tests {
             Err(other) => panic!("expected ShardCorrupt, got {other:?}"),
             Ok(chunk) => panic!("expected ShardCorrupt, decoded {} rows", chunk.rows()),
         }
+    }
+
+    /// Writes a shard set of the given per-shard row counts (one
+    /// feature, the row index as its value) under a manifest claiming
+    /// `total_rows`.
+    fn write_set(dir: &Path, shard_rows: &[u64], total_rows: u64) {
+        fs::create_dir_all(dir).unwrap();
+        let mut next = 0.0f64;
+        for (i, &rows) in shard_rows.iter().enumerate() {
+            let mut body = vec![0u8; rows as usize];
+            for _ in 0..rows {
+                body.extend_from_slice(&next.to_le_bytes());
+                next += 1.0;
+            }
+            fs::write(shard_path(dir, i), shard_bytes(rows, 1, &body)).unwrap();
+        }
+        ShardManifest {
+            n_features: 1,
+            rows_per_shard: 3,
+            total_rows,
+            n_shards: shard_rows.len(),
+        }
+        .write(dir)
+        .unwrap();
+    }
+
+    #[test]
+    fn zero_row_shard_does_not_end_the_stream() {
+        let dir = tmp_dir("zero-row-shard");
+        write_set(&dir, &[3, 0, 3], 6);
+        let mut reader = ShardReader::open(&dir).unwrap();
+        let (xs, ys) = drain(&mut reader);
+        assert_eq!(xs, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(ys.len(), 6);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rows_short_of_the_manifest_total_are_corrupt() {
+        let dir = tmp_dir("short-total");
+        write_set(&dir, &[3, 0, 3], 7);
+        let mut reader = ShardReader::open(&dir).unwrap();
+        let mut chunk = Chunk::new(1);
+        let mut rows = 0;
+        let err = loop {
+            match reader.next_chunk(&mut chunk) {
+                Ok(true) => rows += chunk.rows(),
+                Ok(false) => panic!("stream ended without an error after {rows} rows"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(rows, 6);
+        match err {
+            SpeError::ShardCorrupt { reason, .. } => {
+                assert!(
+                    reason.contains("6 rows") && reason.contains("7"),
+                    "{reason}"
+                )
+            }
+            other => panic!("expected ShardCorrupt, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reset_mid_stream_restarts_the_row_count() {
+        let dir = tmp_dir("reset-mid-stream");
+        write_set(&dir, &[3, 0, 3], 6);
+        let mut reader = ShardReader::open(&dir).unwrap();
+        let mut chunk = Chunk::new(1);
+        assert!(reader.next_chunk(&mut chunk).unwrap());
+        assert_eq!(chunk.rows(), 3);
+        reader.reset().unwrap();
+        let (xs, _) = drain(&mut reader);
+        assert_eq!(xs, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

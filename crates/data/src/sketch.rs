@@ -267,7 +267,7 @@ impl Default for QuantileSketch {
 /// `f64::total_cmp` of values (flip every bit of a negative, the sign
 /// bit of a non-negative), and equal keys are equal bits.
 #[inline]
-fn key(v: f64) -> u64 {
+pub(crate) fn key(v: f64) -> u64 {
     let bits = v.to_bits();
     if bits >> 63 == 1 {
         !bits
@@ -278,7 +278,7 @@ fn key(v: f64) -> u64 {
 
 /// The value whose [`key`] is `k`.
 #[inline]
-fn value(k: u64) -> f64 {
+pub(crate) fn value(k: u64) -> f64 {
     f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 

@@ -7,9 +7,9 @@
 use crate::ensemble::{
     fit_on_bins_parallel, fit_parallel, BinnedTrainJob, SoftVoteEnsemble, TrainJob,
 };
-use crate::traits::{check_fit_inputs, BinnedProblem, ConstantModel, Learner, Model};
+use crate::traits::{check_fit_inputs, shared_index, BinnedProblem, ConstantModel, Learner, Model};
 use crate::tree::DecisionTreeConfig;
-use spe_data::{BinIndex, Matrix, SeededRng};
+use spe_data::{Matrix, SeededRng};
 use std::sync::Arc;
 
 /// Bagging hyper-parameters.
@@ -84,29 +84,24 @@ impl Learner for BaggingConfig {
         // data is large enough, quantize once and hand members bootstrap
         // row ids into the shared index instead of copied sub-matrices.
         // Same bootstrap rng stream and per-member seeds as below.
-        if let Some(binned) = self.base.as_binned() {
-            if let Some(req) = binned.bin_request() {
-                if n >= req.min_rows {
-                    let bins = BinIndex::build(x, req.max_bins);
-                    let problem = BinnedProblem {
-                        bins: &bins,
-                        y,
-                        weights,
-                    };
-                    let jobs: Vec<BinnedTrainJob> = (0..self.n_estimators)
-                        .map(|m| BinnedTrainJob {
-                            rows: rng
-                                .sample_with_replacement(n, k)
-                                .into_iter()
-                                .map(|i| i as u32)
-                                .collect(),
-                            seed: spe_runtime::fork_seed(seed, m as u64),
-                        })
-                        .collect();
-                    let models = fit_on_bins_parallel(binned, &problem, jobs);
-                    return Box::new(SoftVoteEnsemble::new(models));
-                }
-            }
+        if let Some((binned, bins)) = shared_index(self.base.as_ref(), x, n) {
+            let problem = BinnedProblem {
+                bins: &bins,
+                y,
+                weights,
+            };
+            let jobs: Vec<BinnedTrainJob> = (0..self.n_estimators)
+                .map(|m| BinnedTrainJob {
+                    rows: rng
+                        .sample_with_replacement(n, k)
+                        .into_iter()
+                        .map(|i| i as u32)
+                        .collect(),
+                    seed: spe_runtime::fork_seed(seed, m as u64),
+                })
+                .collect();
+            let models = fit_on_bins_parallel(binned, &problem, jobs);
+            return Box::new(SoftVoteEnsemble::new(models));
         }
         let jobs: Vec<TrainJob> = (0..self.n_estimators)
             .map(|m| {

@@ -295,6 +295,13 @@ pub type SharedLearner = Arc<dyn Learner>;
 pub struct BinRequest {
     /// Minimum training-set size for the binned path to pay off; below
     /// this the caller should use the plain `fit` path instead.
+    ///
+    /// A learner's own `fit` bins at this same threshold: on `n >=
+    /// min_rows` rows, `fit_weighted(x, y, w, seed)` is
+    /// `BinIndex::build(x, max_bins)` followed by `fit_on_bins` over
+    /// rows `0..n` in order, bit for bit. A caller that builds one index
+    /// for several fits on the same `x` relies on this to train the
+    /// models `fit` would.
     pub min_rows: usize,
     /// Bin budget per feature to build the index with (≤ 256).
     pub max_bins: usize,
@@ -327,6 +334,20 @@ pub trait BinnedLearner: Send + Sync {
     /// allowed for bootstraps). Must be deterministic in
     /// `(problem, rows, seed)` regardless of thread count.
     fn fit_on_bins(&self, problem: &BinnedProblem<'_>, rows: &[u32], seed: u64) -> Box<dyn Model>;
+}
+
+/// The bin index `base` trains fits of `n` rows on, built over `x`,
+/// with the binned learner that trains on it. `None` when `base` does
+/// not bin or `n` is under its [`BinRequest::min_rows`]; the caller then
+/// fits on the plain path.
+pub fn shared_index<'a>(
+    base: &'a dyn Learner,
+    x: &Matrix,
+    n: usize,
+) -> Option<(&'a dyn BinnedLearner, BinIndex)> {
+    let learner = base.as_binned()?;
+    let req = learner.bin_request()?;
+    (n >= req.min_rows).then(|| (learner, BinIndex::build(x, req.max_bins)))
 }
 
 /// Validates the structural `fit` preconditions every learner shares:

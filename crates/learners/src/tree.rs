@@ -307,7 +307,8 @@ impl DecisionTreeConfig {
     /// Grows one tree with `grow` over this thread's per-row sums: each
     /// row's weight (`unit` when unweighted) and its weight again when
     /// the row is positive, 0 otherwise. `y` and `weights` cover every
-    /// row the grower may visit.
+    /// row of the sums; `rows` are the rows the grower visits, and only
+    /// theirs are written (the rest hold stale values it never reads).
     ///
     /// The unit is a per-engine constant. Gains and leaf probabilities
     /// are ratios of these sums, so it picks no different split in exact
@@ -318,6 +319,7 @@ impl DecisionTreeConfig {
         &self,
         y: &[u8],
         weights: Option<&[f64]>,
+        rows: impl IntoIterator<Item = usize>,
         unit: f64,
         grow: impl FnOnce(&[f64], &[f64], &Impurity, &Limits) -> Arena,
     ) -> Box<dyn Model> {
@@ -333,17 +335,13 @@ impl DecisionTreeConfig {
         };
         let arena = SUMS.with(|cell| {
             let (mut w, mut w_pos) = cell.take();
-            w.clear();
-            match weights {
-                Some(ws) => w.extend_from_slice(ws),
-                None => w.resize(y.len(), unit),
+            w.resize(y.len(), 0.0);
+            w_pos.resize(y.len(), 0.0);
+            for r in rows {
+                let wi = weights.map_or(unit, |ws| ws[r]);
+                w[r] = wi;
+                w_pos[r] = if y[r] != 0 { wi } else { 0.0 };
             }
-            w_pos.clear();
-            w_pos.extend(
-                y.iter()
-                    .zip(&w)
-                    .map(|(&l, &wi)| if l != 0 { wi } else { 0.0 }),
-            );
             let arena = grow(&w, &w_pos, &crit, &limits);
             cell.set((w, w_pos));
             arena
@@ -372,7 +370,10 @@ impl DecisionTreeConfig {
         if let Some(constant) = single_class(rows.iter().map(|&r| y[r as usize])) {
             return constant;
         }
-        self.grow_on_sums(y, weights, 1.0, |w, w_pos, crit, limits| {
+        // The histogram grower reads the sums of `rows` only, so a
+        // member drawn from a large index fills O(|rows|), not O(|y|).
+        let visited = rows.iter().map(|&r| r as usize);
+        self.grow_on_sums(y, weights, visited, 1.0, |w, w_pos, crit, limits| {
             grow::histogram(bins, rows.iter().copied(), w, w_pos, crit, limits, seed)
         })
     }
@@ -416,7 +417,7 @@ impl Learner for DecisionTreeConfig {
             return constant;
         }
         let unit = 1.0 / y.len() as f64;
-        self.grow_on_sums(y, weights, unit, |w, w_pos, crit, limits| {
+        self.grow_on_sums(y, weights, 0..y.len(), unit, |w, w_pos, crit, limits| {
             grow::exact(x, w, w_pos, crit, limits, seed)
         })
     }

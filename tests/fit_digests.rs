@@ -249,8 +249,15 @@ fn thirty_percent_panic_fit() {
         )),
     );
     let model = fit(&cfg, &overlapping(30, 300, 1), 2);
-    let outcomes: Vec<String> = model
-        .fit_report()
+    assert_eq!(
+        (digest(&model), outcomes(model.fit_report())),
+        (11429044489240889426, "T R2 T T R3 T T T R2 T".to_string())
+    );
+}
+
+/// Each slot's outcome as one letter (`R` with its attempt count).
+fn outcomes(report: &FitReport) -> String {
+    let letters: Vec<String> = report
         .members
         .iter()
         .map(|o| match o {
@@ -260,9 +267,140 @@ fn thirty_percent_panic_fit() {
             MemberOutcome::Skipped => "S".to_string(),
         })
         .collect();
+    letters.join(" ")
+}
+
+/// Slots whose one attempt emits NaN drop, and later slots still train.
+/// The dropped attempt's scores are left in the round buffer, so the
+/// draw after it must recompute hardness from the running sums.
+#[test]
+fn dropped_slots_then_later_slots_train() {
+    let cfg = SelfPacedEnsembleConfig {
+        max_member_retries: 0,
+        ..SelfPacedEnsembleConfig::with_base(
+            10,
+            Arc::new(FaultyLearner::nan_emitting(hist(), 0.3, 81)),
+        )
+    };
+    let (model, trace) = cfg.try_fit_dataset_traced(&data(), 17).unwrap();
     assert_eq!(
-        (digest(&model), outcomes.join(" ")),
-        (11429044489240889426, "T R2 T T R3 T T T R2 T".to_string())
+        (
+            digest(&model),
+            digest_usizes(&trace.selections),
+            digest_f64s(&trace.hardness),
+            outcomes(model.fit_report())
+        ),
+        (
+            9786054716010947778,
+            15904536615752197626,
+            2264276694743014490,
+            "T T D T T T D D T D".to_string()
+        )
+    );
+}
+
+/// An in-memory histogram fit at imbalance ratio 100 whose 50,000
+/// majority rows span several blocks of every parallel round pass, the
+/// last one ragged, at 1, 2 and 4 threads.
+#[test]
+fn in_memory_histogram_over_many_blocks() {
+    let d = overlapping(500, 50_000, 6);
+    for threads in [1, 2, 4] {
+        let cfg = SelfPacedEnsembleConfig {
+            runtime: Runtime::with_threads(threads),
+            ..SelfPacedEnsembleConfig::with_base(5, hist())
+        };
+        let (model, trace) = cfg.try_fit_dataset_traced(&d, 18).unwrap();
+        assert_eq!(
+            (
+                digest(&model),
+                digest_usizes(&trace.selections),
+                digest_f64s(&trace.hardness)
+            ),
+            (
+                5111076523048771071,
+                15838081429411826025,
+                3964503381533594069
+            ),
+            "{threads} threads"
+        );
+    }
+}
+
+/// Native k-way fits with the default `Auto` tree on a board whose
+/// early progressive subsets (12,250 and 9,500 rows) reach the
+/// 8,192-row histogram threshold and whose later ones fall below it,
+/// at 1, 2 and 4 threads.
+#[test]
+fn native_auto_across_the_histogram_threshold() {
+    let board = multiclass_checkerboard(&MultiClassCheckerboardConfig::geometric(4, 8_000, 2.0), 9);
+    for threads in [1, 2, 4] {
+        let model = MultiClassSpeConfig {
+            binary: SelfPacedEnsembleConfig {
+                runtime: Runtime::with_threads(threads),
+                ..SelfPacedEnsembleConfig::new(4)
+            },
+            strategy: MultiClassStrategy::Native,
+            balancing: BalancingSchedule::Progressive,
+        }
+        .try_fit_dataset(&board, 33)
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(digest(&model), 4947915212458341524, "{threads} threads");
+    }
+}
+
+/// `BinIndex::build` codes and cuts over 20,003 rows of columns holding
+/// duplicates, both zeros, both infinities, NaN of either sign and more
+/// than 256 distinct values, for a short (direct count) and a long
+/// (two-level count) grid, at one and two threads.
+#[test]
+fn bin_index_codes_and_cuts() {
+    let mut rng = SeededRng::new(23);
+    let specials = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let mut x = Matrix::with_capacity(20_003, 6);
+    for _ in 0..20_003 {
+        let pick = rng.below(8);
+        let mixed = match specials.get(pick) {
+            Some(&v) => v,
+            None => rng.below(1_000) as f64 * 0.5 - 250.0,
+        };
+        x.push_row(&[
+            rng.below(7) as f64 - 3.0,
+            [0.0, -0.0, rng.normal(0.0, 1e-3)][rng.below(3)],
+            [f64::INFINITY, f64::NEG_INFINITY, rng.normal(0.0, 1.0)][rng.below(3)],
+            [f64::NAN, -f64::NAN, rng.uniform()][rng.below(3)],
+            rng.normal(0.0, 1.0),
+            mixed,
+        ]);
+    }
+    let got: Vec<u64> = [(1, 16), (2, 16), (1, 256), (2, 256)]
+        .into_iter()
+        .map(|(threads, max_bins)| {
+            let index = Runtime::with_threads(threads).install(|| BinIndex::build(&x, max_bins));
+            let mut bytes: Vec<u8> = Vec::new();
+            for cuts in index.cut_grids() {
+                bytes.extend((cuts.len() as u64).to_le_bytes());
+                bytes.extend(cuts.iter().flat_map(|c| c.to_bits().to_le_bytes()));
+            }
+            bytes.extend_from_slice(index.codes());
+            fnv1a(&bytes)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            4356286379778566801,
+            4356286379778566801,
+            14599852345973540432,
+            14599852345973540432
+        ]
     );
 }
 
